@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify race bench bench-quick bench-warm bench-serve vet obs-demo serve obs-serve-demo
+.PHONY: all build test verify race bench bench-quick bench-warm bench-serve vet obs-demo fig6-fixtures serve obs-serve-demo
 
 all: build
 
@@ -15,7 +15,7 @@ test:
 
 # verify is the tier-1 gate (see ROADMAP.md), delegated wholesale to
 # scripts/verify.sh: build, vet, staticcheck, full tests, -race smokes
-# over the concurrent probe/wavefront/sweep/frontier paths, shuffled
+# over the concurrent probe/sweep/frontier paths, shuffled
 # expt tests, a one-shot benchmark sanity run, and exact regression
 # checks against the committed BENCH_*.json snapshot (allocs, sweep
 # probes/op, frontier probes/op + dpprobes/op; ns/op deltas print for
@@ -23,8 +23,9 @@ test:
 verify:
 	scripts/verify.sh
 
+# race runs the -race smoke list verify.sh runs (scripts/race_smoke.sh).
 race:
-	$(GO) test -race -run 'TestPlanAllocationParallel|TestDenseMatchesMapDP|TestCertReuseMatchesColdProbes|TestPlanParallelMatchesSequentialWavefront|TestSweepParallelDeterministic|TestWavefrontCountingExact|TestObsOnOffIdenticalPlan|TestConcurrentCountingExact|TestWarmAcrossCellsMatchesCold|TestWarmPlanAndScheduleMatchesCold|TestWarmParallelSearchMatchesCold' ./internal/core/ ./internal/expt/ ./internal/obs/
+	scripts/race_smoke.sh
 
 # bench runs the regression suite, writes BENCH_<date>.json and fails on
 # ns/op or allocs/op regressions against the previous snapshot. The
@@ -67,6 +68,15 @@ serve:
 # ephemeral port while the planner runs (the URL prints first).
 obs-demo:
 	$(GO) run ./cmd/madpipe -net resnet50 -p 4 -mem 10 -bw 12 -ilp 0 -gantt 0 -sim 0 -listen 127.0.0.1:0 -stats -
+
+# fig6-fixtures regenerates the committed Figure 6 planner samples,
+# results/planreport_fig6.json and results/plantrace_fig6.json, with the
+# worker budget pinned to a probe fan of 4, so every host writes the
+# same planner outputs (only wall-clock fields differ).
+# TestProbeStatesPinnedToFig6Report and verify.sh's daemon smoke read
+# them.
+fig6-fixtures:
+	$(GO) run ./cmd/madpipe -net resnet50 -p 4 -mem 10 -bw 12 -ilp 0 -gantt 0 -sim 0 -parallel 4 -stats results/planreport_fig6.json -trace results/plantrace_fig6.json
 
 # obs-serve-demo is the request-level observability tour: boot madpiped
 # on an ephemeral port, run the madpipeload concurrency ladder (latency

@@ -245,9 +245,8 @@ func BenchmarkAblationSpecialProcessor(b *testing.B) {
 
 // BenchmarkMadPipeDP measures one MadPipe-DP invocation at the paper's
 // discretization (Section 5.1 reports seconds to minutes) and reports the
-// DP state throughput. Parallel is pinned to the sequential reference
-// path so the numbers stay comparable across machines; the wavefront
-// variant is benchmarked separately below.
+// DP state throughput. A single DP invocation is sequential at every
+// Options.Parallel setting.
 func BenchmarkMadPipeDP(b *testing.B) {
 	c := benchChain(b, "resnet50")
 	plat := benchPlat(8, 12, 12)
@@ -256,26 +255,6 @@ func BenchmarkMadPipeDP(b *testing.B) {
 	var states int64
 	for i := 0; i < b.N; i++ {
 		res, err := core.DP(c, plat, that, core.Options{Parallel: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		states += int64(res.States)
-	}
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(states)/secs, "DPstates/s")
-	}
-}
-
-// BenchmarkMadPipeDPWave is the same invocation on the parallel
-// wavefront evaluator with a fixed 4-worker budget.
-func BenchmarkMadPipeDPWave(b *testing.B) {
-	c := benchChain(b, "resnet50")
-	plat := benchPlat(8, 12, 12)
-	that := c.TotalU() / 8
-	b.ResetTimer()
-	var states int64
-	for i := 0; i < b.N; i++ {
-		res, err := core.DP(c, plat, that, core.Options{Parallel: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,9 +291,9 @@ func BenchmarkMadPipeDPObs(b *testing.B) {
 	b.ReportMetric(float64(stats.CutsEvaluated), "cuts/op")
 }
 
-// BenchmarkAlgorithm1 measures the full phase-1 binary search on the
-// sequential reference path (probe-level parallelism is covered by
-// TestPlanAllocationParallel and the sweep benchmarks).
+// BenchmarkAlgorithm1 measures the full phase-1 binary search at probe
+// fan 1, the paper's bisection (wider fans are covered by
+// TestPlanTrajectoriesGolden and BenchmarkGPTRawParallel).
 func BenchmarkAlgorithm1(b *testing.B) {
 	c := benchChain(b, "inception")
 	plat := benchPlat(6, 10, 12)

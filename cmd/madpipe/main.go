@@ -51,7 +51,7 @@ func main() {
 		weights   = flag.String("weights", "2bw", "weight-versioning policy: 2bw (paper) or stash (original PipeDream)")
 		statsFile = flag.String("stats", "", "write a structured PlanReport JSON to this file (\"-\" for stdout)")
 		listen    = flag.String("listen", "", "serve /metrics (Prometheus), /debug/vars (expvar) and /debug/pprof on this address while planning, e.g. :8080")
-		parallel  = flag.Int("parallel", 0, "planner worker budget (0 auto, 1 sequential reference; see core.Options.Parallel)")
+		parallel  = flag.Int("parallel", 0, "planner probe fan-out budget (0 auto, 1 sequential bisection, at most 4 probes per round; see core.Options.Parallel)")
 		timeout   = flag.Duration("timeout", 0, "planning deadline (0 = none); expiry cancels the planner between probes")
 		frontier  = flag.String("frontier", "", "solve the T*(M) frontier over these memory limits in GB instead of planning one cell: a comma-separated list (\"3,4,6,8\"), a lo:hi:step range (\"3:16:1\"), or both; dumps the breakpoint list as JSON to -stats (default stdout)")
 		blocks    = flag.Int("blocks", 0, "override a transformer preset's decoder-block count (with -net gpt2/gpt2-xl/llama7b)")

@@ -71,6 +71,12 @@ func main() {
 		SLOTarget:        *sloTgt,
 	})
 
+	// Trap the shutdown signals before the address is announced: a
+	// supervisor may send SIGTERM as soon as -addr-file appears, and
+	// that must drain like any later one.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -87,8 +93,6 @@ func main() {
 	fmt.Printf("madpiped: serving /v1/plan /v1/frontier /v1/stats /healthz /metrics /debug/requests on %s (%d workers, %d MB memo)\n",
 		bound, *workers, *memoMB)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Printf("madpiped: %v, draining (budget %s)\n", sig, *drain)

@@ -8,15 +8,14 @@
 //
 // With -cpuprofile it instead runs a representative planning workload
 // (repeated Algorithm 1 invocations on the chosen network) and writes a
-// CPU profile. The planner wraps each phase in core's phaseTimed helper,
-// which simultaneously tags the goroutine with a pprof label and feeds
-// an obs phase timer — so the sample-based breakdown in the profile and
-// the wall-clock breakdown printed after the run come from the same
-// instrumentation points:
+// CPU profile. Algorithm 1 runs its probes under the pprof label
+// madpipe-phase=probe and times every probe into the obs "probe" phase,
+// so the sample-based breakdown in the profile and the wall-clock total
+// printed after the run describe the same work:
 //
 //	profilegen -cpuprofile cpu.out -net resnet50 -iters 20
 //	go tool pprof -tags cpu.out                       # phase breakdown
-//	go tool pprof -tagfocus madpipe-phase=plane-fill cpu.out
+//	go tool pprof -tagfocus madpipe-phase=probe cpu.out
 package main
 
 import (
@@ -110,12 +109,11 @@ func main() {
 // profilePlanning runs Algorithm 1 repeatedly under the CPU profiler.
 // The workload mirrors the repository benchmarks: a 24-node coarsened
 // chain planned onto an 8-worker platform with a memory limit tight
-// enough to exercise the memory checks. The planner's own pprof labels
-// (madpipe-phase: probe, frontier, plane-fill, reconstruct) survive into
-// the profile; inspect them with `go tool pprof -tags`. The same
-// phaseTimed call sites also feed the obs registry attached here, whose
-// wall-clock totals print after the run as a sanity check against the
-// profile's sampled breakdown.
+// enough to exercise the memory checks. The planner's pprof label
+// (madpipe-phase=probe) survives into the profile; inspect it with
+// `go tool pprof -tags`. The obs registry attached here times the same
+// probes, and its wall-clock totals print after the run as a sanity
+// check against the profile's sampled breakdown.
 func profilePlanning(path, netName string, batch, size, iters, par int) error {
 	c, err := nets.Build(nets.Spec{Name: netName, Batch: batch, Size: size})
 	if err != nil {
@@ -147,9 +145,9 @@ func profilePlanning(path, netName string, batch, size, iters, par int) error {
 	elapsed := time.Since(start)
 	fmt.Fprintf(os.Stderr, "profilegen: %d plans of %s in %s profiled into %s\n",
 		iters, netName, elapsed.Round(time.Millisecond), path)
-	// Wall-clock phase totals from the very call sites that label the
-	// profile. Parallel phases (probe, plane-fill) sum per-goroutine time
-	// and can exceed the elapsed wall clock.
+	// Wall-clock phase totals of the labelled probes. Concurrent probes
+	// (probe fan > 1) sum per-goroutine time and can exceed the elapsed
+	// wall clock.
 	snap := reg.Snapshot()
 	for _, name := range sortedPhases(snap.Phases) {
 		ph := snap.Phases[name]

@@ -98,7 +98,7 @@ func TestBlockedMatchesMapDP(t *testing.T) {
 	}
 	that := c.TotalU() / 4
 
-	blocked, err := runDP(c, pl, that, dpConfig{disc: disc, workers: 1})
+	blocked, err := runDP(c, pl, that, dpConfig{disc: disc})
 	if err != nil {
 		t.Fatalf("blocked: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestIndexWidthBoundaries(t *testing.T) {
 		disc := Discretization{TP: 5, MP: 3, V: 9}
 		that := c.TotalU() / 4
 
-		dense, err := runDP(c, pl, that, dpConfig{disc: disc, workers: 1})
+		dense, err := runDP(c, pl, that, dpConfig{disc: disc})
 		if err != nil {
 			t.Fatalf("L=%d: dense: %v", L, err)
 		}
@@ -168,27 +168,19 @@ func TestIndexWidthBoundaries(t *testing.T) {
 	}
 }
 
-// TestBlockedWavefrontThreeWayIdentity is the blocked-parallel
-// acceptance property: on blocked tables the wavefront (Parallel 2 and
-// 8), the sequential blocked solver and the map reference must agree
-// bit-for-bit on period, feasibility and allocation at every tested
-// chain length — both sides of the 255/256 packing boundary (column
-// cache on) and of the colMaxL cliff (column-free wavefront), up to raw
-// transformer scale. States equality is asserted only between the
-// sequential solver and the map: the wavefront legitimately evaluates
-// the frontier's reachable superset of the lazy traversal.
+// TestBlockedMatchesMapAtWidths: on blocked tables the solver and the
+// map reference must agree bit-for-bit on period, state count,
+// feasibility and allocation at every tested chain length — both sides
+// of the 255/256 packing boundary (column cache on) and of the colMaxL
+// cliff (cut scalars recomputed inline), up to raw transformer scale.
 //
 // The test forces blocked storage by lowering denseStateCap instead of
 // inflating the discretization: production-sized blocked grids put the
-// map reference (and, under -race, every solver) minutes past any
-// reasonable test budget, while the storage protocol under test —
-// slot() pre-materialization, slotPub stragglers, per-plane barriers —
-// is identical at any block count. TestBlockedMatchesMapDP keeps a
-// production-threshold seq-vs-map case; the tight-memory case here
-// keeps the death-certificate (memory-infeasible cut) paths in the mix.
-func TestBlockedWavefrontThreeWayIdentity(t *testing.T) {
-	defer func(old int) { waveParThreshold = old }(waveParThreshold)
-	waveParThreshold = 2 // force pool dispatch even on small planes
+// map reference minutes past any reasonable test budget, while blocked
+// indexing is identical at any block count. TestBlockedMatchesMapDP
+// keeps a production-threshold case; the tight-memory case here keeps
+// the death-certificate (memory-infeasible cut) paths in the mix.
+func TestBlockedMatchesMapAtWidths(t *testing.T) {
 	defer func(old int) { denseStateCap = old }(denseStateCap)
 	denseStateCap = 1 << 12 // force blocked storage on small shapes
 
@@ -206,10 +198,10 @@ func TestBlockedWavefrontThreeWayIdentity(t *testing.T) {
 	for _, tc := range cases {
 		start := time.Now()
 		c := chain.Uniform(tc.L, 1e-3, 2e-3, 2e7, 4e6)
-		// Loose memory keeps all three solvers' reachable sets small
-		// (the m_P axis collapses); the tight case runs memory at 12x
-		// the fixed weights (the TestBlockedMatchesMapDP ratio) so
-		// stage packing and memory-death certificates engage too.
+		// Loose memory keeps both solvers' reachable sets small (the m_P
+		// axis collapses); the tight case runs memory at 12x the fixed
+		// weights (the TestBlockedMatchesMapDP ratio) so stage packing and
+		// memory-death certificates engage too.
 		pl := plat(4, 1e12, 1e12)
 		if tc.tight {
 			pl = plat(4, float64(tc.L)*2.4e8, 12e9)
@@ -223,49 +215,24 @@ func TestBlockedWavefrontThreeWayIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("L=%d: map: %v", tc.L, err)
 		}
-		seq, err := runDP(c, pl, that, dpConfig{disc: tc.disc, workers: 1})
+		got, err := runDP(c, pl, that, dpConfig{disc: tc.disc})
 		if err != nil {
-			t.Fatalf("L=%d: sequential: %v", tc.L, err)
+			t.Fatalf("L=%d: blocked: %v", tc.L, err)
 		}
-		if seq.Period != ref.Period || seq.States != ref.States {
-			t.Fatalf("L=%d: sequential (period %g, %d states) != map (period %g, %d states)",
-				tc.L, seq.Period, seq.States, ref.Period, ref.States)
+		if got.Period != ref.Period || got.States != ref.States {
+			t.Fatalf("L=%d: blocked (period %g, %d states) != map (period %g, %d states)",
+				tc.L, got.Period, got.States, ref.Period, ref.States)
 		}
-		if (seq.Alloc == nil) != (ref.Alloc == nil) {
+		if (got.Alloc == nil) != (ref.Alloc == nil) {
 			t.Fatalf("L=%d: feasibility mismatch vs map", tc.L)
 		}
-		if seq.Alloc != nil {
-			for i := range seq.Alloc.Spans {
-				if seq.Alloc.Spans[i] != ref.Alloc.Spans[i] || seq.Alloc.Procs[i] != ref.Alloc.Procs[i] {
-					t.Fatalf("L=%d: sequential stage %d differs from map", tc.L, i)
+		if got.Alloc != nil {
+			for i := range got.Alloc.Spans {
+				if got.Alloc.Spans[i] != ref.Alloc.Spans[i] || got.Alloc.Procs[i] != ref.Alloc.Procs[i] {
+					t.Fatalf("L=%d: stage %d differs from map", tc.L, i)
 				}
 			}
 		}
-
-		for _, w := range []int{2, 8} {
-			par, err := runDP(c, pl, that, dpConfig{disc: tc.disc, workers: w})
-			if err != nil {
-				t.Fatalf("L=%d workers=%d: %v", tc.L, w, err)
-			}
-			if par.Period != seq.Period {
-				t.Fatalf("L=%d workers=%d: period %g != sequential %g", tc.L, w, par.Period, seq.Period)
-			}
-			if (par.Alloc == nil) != (seq.Alloc == nil) {
-				t.Fatalf("L=%d workers=%d: feasibility mismatch", tc.L, w)
-			}
-			if par.Alloc == nil {
-				continue
-			}
-			if len(par.Alloc.Spans) != len(seq.Alloc.Spans) {
-				t.Fatalf("L=%d workers=%d: %d stages != %d", tc.L, w, len(par.Alloc.Spans), len(seq.Alloc.Spans))
-			}
-			for i := range par.Alloc.Spans {
-				if par.Alloc.Spans[i] != seq.Alloc.Spans[i] || par.Alloc.Procs[i] != seq.Alloc.Procs[i] {
-					t.Fatalf("L=%d workers=%d: stage %d differs: %v/%d vs %v/%d", tc.L, w, i,
-						par.Alloc.Spans[i], par.Alloc.Procs[i], seq.Alloc.Spans[i], seq.Alloc.Procs[i])
-				}
-			}
-		}
-		t.Logf("L=%d: %d states, %s", tc.L, seq.States, time.Since(start).Round(time.Millisecond))
+		t.Logf("L=%d: %d states, %s", tc.L, got.States, time.Since(start).Round(time.Millisecond))
 	}
 }

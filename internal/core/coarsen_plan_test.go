@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -340,6 +341,13 @@ func TestTransformerLongChainPlan(t *testing.T) {
 	// second frontier sample folds from the first's certificates.
 	opts := Options{Iterations: 1, Disc: disc, Parallel: 1, Obs: obs.NewRegistry()}
 
+	// A pooled table keeps the blocks its earlier leases materialized
+	// and counts them as resident, so a table another test's blocked run
+	// returned to the pool would inflate this plan's footprint. Two
+	// collections empty the pool (sync.Pool keeps one generation of
+	// victims), so the lease below starts from a fresh table.
+	runtime.GC()
+	runtime.GC()
 	res, err := PlanAllocation(c, pl, opts)
 	if err != nil {
 		t.Fatal(err)

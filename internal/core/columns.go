@@ -125,10 +125,8 @@ func (cc *colCache) reset(L, nV int, key gmaxKey) {
 // opening the column if this probe has not touched it yet. Opening a
 // column computes its gmax and zeroes its entry slab; the entries
 // themselves are filled lazily, one delay index at a time, by
-// colEntry — the DP's traversal is sparse (a few percent of the grid),
-// so eager nV-wide builds would cost more than the DP itself. Column
-// mutation during the wavefront happens only in the sequential frontier
-// pass, so the parallel plane-fill reads a frozen cache (see colBuilt).
+// fillEnt — the DP's traversal is sparse (a few percent of the grid),
+// so eager nV-wide builds would cost more than the DP itself.
 func (r *dpRun) col(l, k int) (int, int32) {
 	cc := &r.tab.cols
 	ci := l*cc.lplus + k
@@ -158,18 +156,6 @@ func (r *dpRun) fillEnt(l, k, iV int, e *colEnt) {
 	if r.tab.certOn {
 		e.lo, e.hi = r.cutInterval(v, u, r.cLeft[k], int(e.ivn))
 	}
-}
-
-// colBuilt is the read-only lookup used by plane-fill workers; the
-// frontier has already opened every column a worker can reach.
-func (r *dpRun) colBuilt(l, k int) (int, int32) {
-	cc := &r.tab.cols
-	d := cc.dir[l*cc.lplus+k]
-	if uint32(d>>32) != cc.stamp {
-		panic("core: wavefront touched a column outside the frontier's reach")
-	}
-	o := int(uint32(d))
-	return o * cc.nV, cc.gmax[o]
 }
 
 func (r *dpRun) openCol(l, k, ci int) (int, int32) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +180,19 @@ func TestPlanAllocationInfeasible(t *testing.T) {
 	}
 }
 
+// TestPlanAllocationNegativeIterations: a negative probe budget (the
+// serving API passes it through unchecked) runs no probe at any fan and
+// reports infeasibility instead of panicking.
+func TestPlanAllocationNegativeIterations(t *testing.T) {
+	c := chain.Uniform(4, 1, 2, 1e6, 1e6)
+	for _, par := range []int{1, 4} {
+		_, err := PlanAllocation(c, plat(2, 1e12, 1e12), Options{Iterations: -3, Parallel: par})
+		if !errors.Is(err, platform.ErrInfeasible) {
+			t.Fatalf("parallel %d: err = %v, want ErrInfeasible", par, err)
+		}
+	}
+}
+
 func TestPlanAndScheduleValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 10; trial++ {
@@ -301,5 +315,24 @@ func TestDPReconstructionConsistency(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestResolveParallel(t *testing.T) {
+	if got := resolveParallel(0); got != runtime.GOMAXPROCS(0) || got < 1 {
+		t.Fatalf("resolveParallel(0) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
+	}
+	if got := resolveParallel(-3); got != 1 {
+		t.Fatalf("resolveParallel(-3) = %d, want 1", got)
+	}
+	if got := resolveParallel(7); got != 7 {
+		t.Fatalf("resolveParallel(7) = %d, want 7", got)
+	}
+	for _, tc := range []struct{ w, fan int }{
+		{1, 1}, {2, 2}, {4, 4}, {8, 4}, {16, 4},
+	} {
+		if fan := probeFan(tc.w); fan != tc.fan {
+			t.Fatalf("probeFan(%d) = %d, want %d", tc.w, fan, tc.fan)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"madpipe/internal/obs"
 )
@@ -33,8 +31,8 @@ const denseMaxStates = 1 << 25
 // denseStateCap is the dense/blocked routing threshold actually
 // consulted. It equals denseMaxStates in production; identity tests
 // lower it (with a deferred restore) to force blocked storage onto
-// small, fast shapes, so the blocked wavefront's slot/slotPub
-// pre-materialization protocol is exercised without 2^25-state tables.
+// small, fast shapes, so blocked indexing is exercised at long chain
+// lengths without 2^25-state tables.
 var denseStateCap = denseMaxStates
 
 // Blocked-storage geometry: 1024 states per block = 64 KB. The l-
@@ -128,18 +126,9 @@ type dpTable struct {
 	// alternating modes (PlanAndSchedule's special/contiguous pattern)
 	// can never read a stale entry from the other storage: the stamp is
 	// monotone across resets and a mode switch bumps certEpoch.
-	//
-	// Blocks are *[blockSize]dpState rather than []dpState so a directory
-	// entry is one word that slotPub can publish with a pointer CAS: the
-	// wavefront's plane-fill workers share the directory, and the
-	// sequential reachability frontier pre-materializes (via slot) every
-	// block its marks touch before workers fan out, leaving CAS
-	// publication as a rare straggler path. nAlloc is updated atomically
-	// for the same reason; single-threaded phases read it plainly behind
-	// the plane barriers.
 	blocked bool
 	blocks  []*[blockSize]dpState
-	nAlloc  int64
+	nAlloc  int
 
 	nL, nP, nT, nM, nV int
 	size               int
@@ -176,18 +165,12 @@ type dpTable struct {
 	certMax float64
 
 	cols  colCache
-	wave  waveScratch
 	hoist hoistCache
 }
 
 // tableStates is the packed state count of a DP shape.
 func tableStates(l, normals, nT, nM, nV int) int {
 	return (l + 1) * (normals + 1) * nT * nM * nV
-}
-
-// denseFits reports whether the shape gets the upfront dense array.
-func denseFits(l, normals, nT, nM, nV int) bool {
-	return l <= denseMaxL && tableStates(l, normals, nT, nM, nV) <= denseStateCap
 }
 
 // tableFits reports whether the table can represent the shape at all
@@ -325,20 +308,7 @@ func (t *dpTable) certMark(idx int, that float64) {
 	if that > t.certMax {
 		t.certMax = that
 	}
-	t.certMarkIdx(idx, that)
-}
-
-// certMarkIdx writes the per-state certificate body without touching the
-// shared certMax watermark; certMarkState is the same write on an
-// already-resolved slot pointer. The wavefront's plane-fill workers use
-// the pointer form — their cells are disjoint, so the per-state writes
-// are race-free, and the coordinator raises certMax once behind the
-// final barrier (nothing reads certMax during the plane fill).
-func (t *dpTable) certMarkIdx(idx int, that float64) {
-	t.certMarkState(t.slot(idx), that)
-}
-
-func (t *dpTable) certMarkState(s *dpState, that float64) {
+	s := t.slot(idx)
 	if s.certSeen == t.certEpoch {
 		if that > s.certThat {
 			s.certThat = that
@@ -383,18 +353,12 @@ func (t *dpTable) valRange(idx int, that float64) (float64, float64, bool) {
 // the entry to this exact T̂) are not stored: a previous probe's record —
 // which cannot cover the current target, else the state would have been
 // adopted instead of evaluated — stays live for the targets it does
-// cover. Plane-fill workers call this on disjoint idx slots, so the
-// writes need no synchronization (same discipline as certMarkIdx).
+// cover.
 func (t *dpTable) valPut(idx int, lo, hi float64, e dpEntry) bool {
-	return t.valPutState(t.slot(idx), lo, hi, e)
-}
-
-// valPutState is valPut on an already-resolved slot pointer (the
-// plane-fill workers' form; same disjoint-cell discipline).
-func (t *dpTable) valPutState(s *dpState, lo, hi float64, e dpEntry) bool {
 	if !(lo < hi) {
 		return false
 	}
+	s := t.slot(idx)
 	m := uint32(int32(e.k)+1) << metaKShift
 	if e.special {
 		m |= metaSpecialBit
@@ -412,10 +376,7 @@ func (t *dpTable) valPutState(s *dpState, lo, hi float64, e dpEntry) bool {
 // record covering that is kept — it already says +Inf there and may be
 // wider.
 func (t *dpTable) valPutDead(idx int, that float64) {
-	t.valPutDeadState(t.slot(idx), that)
-}
-
-func (t *dpTable) valPutDeadState(rec *dpState, that float64) {
+	rec := t.slot(idx)
 	if rec.vepoch == t.certEpoch && that >= rec.vlo && that < rec.vhi {
 		return
 	}
@@ -456,13 +417,7 @@ func (t *dpTable) peek(idx int) *dpState {
 }
 
 // slot returns the state at idx for writing, materializing its block on
-// first touch in blocked mode. This is the SEQUENTIAL first-touch
-// variant: it writes the directory entry with a plain store, so it may
-// only run when no plane-fill worker is live — the lazy solver, the
-// wavefront's reachability frontier (which runs before any worker
-// starts and thereby pre-materializes every block the plane fill will
-// write), and the coordinator between plane barriers. Concurrent
-// first-touch goes through slotPub.
+// first touch in blocked mode.
 func (t *dpTable) slot(idx int) *dpState {
 	if !t.blocked {
 		return &t.slots[idx]
@@ -475,33 +430,6 @@ func (t *dpTable) slot(idx int) *dpState {
 		t.nAlloc++
 	}
 	return &b[idx&blockMask]
-}
-
-// slotPub is slot's CONCURRENT first-touch variant: plane-fill workers
-// racing on an unmaterialized block publish it with a pointer CAS, and
-// exactly one publisher counts it in nAlloc (atomically). The frontier
-// pass pre-materializes each plane's reachable block set sequentially,
-// so this path is a straggler fallback — it fires only for cells the
-// frontier's bounds over-approximated away, and the returned published
-// flag feeds the BlocksPublished diagnostic counter. peek stays a plain
-// load by construction: any block a worker reads was either
-// materialized before the workers started (frontier, happens-before via
-// the pool's task channel) or published by the reading worker itself.
-func (t *dpTable) slotPub(idx int) (s *dpState, published bool) {
-	if !t.blocked {
-		return &t.slots[idx], false
-	}
-	bp := (*unsafe.Pointer)(unsafe.Pointer(&t.blocks[idx>>blockBits]))
-	b := (*[blockSize]dpState)(atomic.LoadPointer(bp))
-	if b == nil {
-		fresh := new([blockSize]dpState)
-		if atomic.CompareAndSwapPointer(bp, nil, unsafe.Pointer(fresh)) {
-			atomic.AddInt64(&t.nAlloc, 1)
-			return &fresh[idx&blockMask], true
-		}
-		b = (*[blockSize]dpState)(atomic.LoadPointer(bp))
-	}
-	return &b[idx&blockMask], false
 }
 
 func (t *dpTable) get(idx int) (dpEntry, bool) {
@@ -525,27 +453,10 @@ func (t *dpTable) getPeriod(idx int) (float64, bool) {
 	return s.period, true
 }
 
+// put stores a freshly evaluated entry and counts it in states.
 func (t *dpTable) put(idx int, e dpEntry) {
-	t.putNC(idx, e)
+	t.putAdopted(idx, e)
 	t.states++
-}
-
-// putNC stores an entry without touching the shared states counter. The
-// wavefront's plane-fill workers use it (through putState, on a slot
-// pointer resolved once per cell) — each worker owns a disjoint cell
-// set, counts its stores locally and the counts are summed behind the
-// level barrier, keeping the counter exact without atomics.
-func (t *dpTable) putNC(idx int, e dpEntry) {
-	t.putState(t.slot(idx), e)
-}
-
-func (t *dpTable) putState(s *dpState, e dpEntry) {
-	m := t.stamp<<metaStampShift | uint32(int32(e.k)+1)<<metaKShift
-	if e.special {
-		m |= metaSpecialBit
-	}
-	s.period = e.period
-	s.meta = m
 }
 
 // putAdopted settles a state from a certificate — death or value —
@@ -555,7 +466,13 @@ func (t *dpTable) putState(s *dpState, e dpEntry) {
 // Certificate hits are tracked separately (StatesCertPruned,
 // StatesValReused).
 func (t *dpTable) putAdopted(idx int, e dpEntry) {
-	t.putNC(idx, e)
+	m := t.stamp<<metaStampShift | uint32(int32(e.k)+1)<<metaKShift
+	if e.special {
+		m |= metaSpecialBit
+	}
+	s := t.slot(idx)
+	s.period = e.period
+	s.meta = m
 }
 
 // tableTrimFactor bounds a pooled table's retained capacity: when the
@@ -605,7 +522,7 @@ func trimOnRelease(t *dpTable, reg *obs.Registry) {
 	// huge virtual plane does not inflate the high-water mark.
 	demand := t.size
 	if t.blocked {
-		demand = int(t.nAlloc) * blockSize
+		demand = t.nAlloc * blockSize
 	}
 	if hw := t.trimHWM / 2; hw > demand {
 		t.trimHWM = hw
@@ -620,7 +537,7 @@ func trimOnRelease(t *dpTable, reg *obs.Registry) {
 			reg.Counter("dp_table_trims").Inc()
 		}
 	}
-	if need > 0 && int(t.nAlloc)*blockSize > tableTrimFactor*need {
+	if need > 0 && t.nAlloc*blockSize > tableTrimFactor*need {
 		t.blocks = nil
 		t.nAlloc = 0
 		if reg != nil {
@@ -641,7 +558,7 @@ func trimOnRelease(t *dpTable, reg *obs.Registry) {
 // retainedBytes sums the capacity the table's backing arrays hold onto
 // while pooled (element sizes by layout: dpState 64, colEnt 32).
 func (t *dpTable) retainedBytes() int {
-	b := cap(t.slots)*64 + int(t.nAlloc)*blockSize*64 + cap(t.blocks)*8
+	b := cap(t.slots)*64 + t.nAlloc*blockSize*64 + cap(t.blocks)*8
 	cc := &t.cols
 	b += cap(cc.dir)*8 + cap(cc.ent)*32 + cap(cc.gmax)*4 +
 		cap(cc.gmaxSeen)*4 + cap(cc.gmaxCached)*4

@@ -9,16 +9,12 @@ import (
 	"madpipe/internal/chain"
 )
 
-// TestDenseMatchesMapDP is the three-way equivalence property: the
-// dense-table explicit-stack solver, the parallel wavefront evaluator
-// and the legacy map-based recursive DP must return bit-identical
-// periods and allocations on randomized chains. Bit-identical — not
-// almost-equal — because all three formulations are required to perform
-// the same floating-point operations in the same order. The lazy
-// solvers must additionally agree on the state count; the wavefront's
-// eager frontier visits a superset of the value-pruned lazy traversal,
-// so its count is only required to cover the lazy one. Run with -race:
-// the wavefront leg fans every plane across 4 workers.
+// TestDenseMatchesMapDP is the equivalence property between the
+// dense-table explicit-stack solver and the legacy map-based recursive
+// DP: bit-identical periods, state counts and allocations on randomized
+// chains. Bit-identical — not almost-equal — because both formulations
+// are required to perform the same floating-point operations in the
+// same order.
 func TestDenseMatchesMapDP(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -29,14 +25,9 @@ func TestDenseMatchesMapDP(t *testing.T) {
 		disc := Discretization{TP: 11 + rng.Intn(30), MP: 3 + rng.Intn(8), V: 11 + rng.Intn(30)}
 		disableSpecial := rng.Intn(4) == 0
 
-		dense, err := runDP(c, pl, that, dpConfig{disc: disc, disableSpecial: disableSpecial, workers: 1})
+		dense, err := runDP(c, pl, that, dpConfig{disc: disc, disableSpecial: disableSpecial})
 		if err != nil {
 			t.Logf("seed %d: dense: %v", seed, err)
-			return false
-		}
-		wave, err := runDP(c, pl, that, dpConfig{disc: disc, disableSpecial: disableSpecial, workers: 4})
-		if err != nil {
-			t.Logf("seed %d: wavefront: %v", seed, err)
 			return false
 		}
 		legacy, err := runDPMap(c, pl, that, disc, disableSpecial, chain.WeightPolicy{})
@@ -44,38 +35,27 @@ func TestDenseMatchesMapDP(t *testing.T) {
 			t.Logf("seed %d: map: %v", seed, err)
 			return false
 		}
-		if dense.Period != legacy.Period || wave.Period != legacy.Period {
-			t.Logf("seed %d: period %v (dense) / %v (wavefront) != %v (map)",
-				seed, dense.Period, wave.Period, legacy.Period)
+		if dense.Period != legacy.Period || dense.States != legacy.States {
+			t.Logf("seed %d: dense (period %v, %d states) != map (period %v, %d states)",
+				seed, dense.Period, dense.States, legacy.Period, legacy.States)
 			return false
 		}
-		if dense.States != legacy.States {
-			t.Logf("seed %d: states %d (dense) != %d (map)", seed, dense.States, legacy.States)
+		if (dense.Alloc == nil) != (legacy.Alloc == nil) {
+			t.Logf("seed %d: feasibility mismatch", seed)
 			return false
 		}
-		if wave.States < dense.States {
-			t.Logf("seed %d: wavefront visited %d states, fewer than the lazy solver's %d",
-				seed, wave.States, dense.States)
+		if dense.Alloc == nil {
+			return true
+		}
+		if len(dense.Alloc.Spans) != len(legacy.Alloc.Spans) {
+			t.Logf("seed %d: stage count %d != %d", seed, len(dense.Alloc.Spans), len(legacy.Alloc.Spans))
 			return false
 		}
-		for name, got := range map[string]*DPResult{"dense": dense, "wavefront": wave} {
-			if (got.Alloc == nil) != (legacy.Alloc == nil) {
-				t.Logf("seed %d: %s feasibility mismatch", seed, name)
+		for i := range dense.Alloc.Spans {
+			if dense.Alloc.Spans[i] != legacy.Alloc.Spans[i] || dense.Alloc.Procs[i] != legacy.Alloc.Procs[i] {
+				t.Logf("seed %d: stage %d differs: %v@%d vs %v@%d", seed, i,
+					dense.Alloc.Spans[i], dense.Alloc.Procs[i], legacy.Alloc.Spans[i], legacy.Alloc.Procs[i])
 				return false
-			}
-			if got.Alloc == nil {
-				continue
-			}
-			if len(got.Alloc.Spans) != len(legacy.Alloc.Spans) {
-				t.Logf("seed %d: %s stage count %d != %d", seed, name, len(got.Alloc.Spans), len(legacy.Alloc.Spans))
-				return false
-			}
-			for i := range got.Alloc.Spans {
-				if got.Alloc.Spans[i] != legacy.Alloc.Spans[i] || got.Alloc.Procs[i] != legacy.Alloc.Procs[i] {
-					t.Logf("seed %d: %s stage %d differs: %v@%d vs %v@%d", seed, name, i,
-						got.Alloc.Spans[i], got.Alloc.Procs[i], legacy.Alloc.Spans[i], legacy.Alloc.Procs[i])
-					return false
-				}
 			}
 		}
 		return true
@@ -95,7 +75,7 @@ func TestLongChainNoAliasing(t *testing.T) {
 	disc := Discretization{TP: 5, MP: 3, V: 9}
 	that := c.TotalU() / 4
 
-	dense, err := runDP(c, pl, that, dpConfig{disc: disc, workers: 1})
+	dense, err := runDP(c, pl, that, dpConfig{disc: disc})
 	if err != nil {
 		t.Fatalf("dense: %v", err)
 	}
@@ -187,22 +167,22 @@ func TestDenseTableStampReuse(t *testing.T) {
 	}
 }
 
-// TestDenseFallback: shapes beyond the dense-table cap must route to the
+// TestDenseFallback: shapes the DP table cannot represent must route to the
 // map DP and still produce the same answer as the map DP called
 // directly.
 func TestDenseFallback(t *testing.T) {
-	if denseFits(denseMaxL+1, 1, 1, 1, 2) {
-		t.Fatalf("denseFits accepted an over-long chain")
+	if tableFits(denseMaxL+1, 1, 1, 1, 2) {
+		t.Fatalf("tableFits accepted an over-long chain")
 	}
-	// A big discretization on a long chain exceeds denseMaxStates.
-	if denseFits(10000, 8, 256, 64, 256) {
-		t.Fatalf("denseFits accepted an oversized state space")
+	// A big discretization on a long chain exceeds even blocked storage.
+	if tableFits(10000, 8, 256, 64, 256) {
+		t.Fatalf("tableFits accepted an oversized state space")
 	}
 	c := chain.Uniform(20, 1, 2, 1e6, 1e6)
 	pl := plat(3, 1e12, 1e12)
 	disc := Discretization{TP: 5, MP: 3, V: 5}
 	that := c.TotalU() / 3
-	a, err := runDP(c, pl, that, dpConfig{disc: disc, workers: 1})
+	a, err := runDP(c, pl, that, dpConfig{disc: disc})
 	if err != nil {
 		t.Fatalf("runDP: %v", err)
 	}

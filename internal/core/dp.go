@@ -22,50 +22,30 @@
 // # Concurrency invariants
 //
 // The planner is safe for concurrent use under the following rules,
-// relied upon by the speculative parallel probes of PlanAllocation, the
-// wavefront evaluator (wavefront.go) and the parallel sweeps in
-// internal/expt:
+// relied upon by the concurrent probes of PlanAllocation and the
+// parallel sweeps in internal/expt:
 //
 //   - chain.Chain and platform.Platform are immutable; any number of
 //     goroutines may plan over the same chain concurrently.
-//   - A dpRun (and the dense table it leases from the arena) belongs to
-//     exactly one planner invocation from acquire to release. Tables are
-//     never shared between invocations; cross-probe reuse happens only
+//   - A dpRun (and the table it leases from the arena) belongs to
+//     exactly one goroutine from acquire to release. Tables are never
+//     shared between concurrent probes; cross-probe reuse happens only
 //     sequentially on the same lease via the epoch stamp.
-//   - Within one invocation the wavefront's plane-fill workers share the
-//     table, but each worker owns a disjoint cell set, all of a cell's
-//     children live on strictly lower planes, and planes are separated
-//     by barriers — so every read happens-after the write it observes
-//     and no two goroutines touch the same state.
-//   - Blocked-table first touch is single-writer by construction: the
-//     sequential frontier pass materializes (dpTable.slot) every block
-//     the plane fill will write before workers start, so workers read
-//     the block directory with plain loads; the CAS-publishing slotPub
-//     fallback keeps even an unexpected straggler race-free.
-//   - Column caches and certificate stores are mutated only by the
-//     owning invocation's sequential phases (lazy solve, frontier pass);
-//     plane-fill workers read them frozen.
 //   - Reconstructed allocations are fresh per run and carry no pointers
 //     into pooled state.
 //
-// Options.Parallel picks the execution mode: 0 means auto (clamped to
-// [1, GOMAXPROCS]), 1 is the sequential reference path (lazy
-// explicit-stack solver, sequential bisection), and >= 2 enables both
-// speculative Algorithm 1 probes and the wavefront evaluator, splitting
-// the worker budget between them. Every mode computes each DP probe
-// bit-identically — same period, allocation and reconstruction choices;
-// only the visited state counts may differ (the wavefront's frontier is
-// a superset of the lazy solver's value-pruned traversal). Algorithm 1's
-// probe schedule depends on the probe fan, so planner-level outputs are
-// pinned per setting, and across settings sharing a fan (see
+// Options.Parallel is Algorithm 1's probe fan-out: 0 means auto
+// (GOMAXPROCS), 1 is the paper's sequential bisection, and larger
+// budgets run up to four bracket probes per round, each on its own
+// table lease. Every probe runs the same sequential solver, so each DP
+// probe is bit-identical across settings; the probe schedule depends on
+// the fan, so planner-level outputs are pinned per fan (see
 // Options.Parallel).
 package core
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
-	"time"
 
 	"madpipe/internal/chain"
 	"madpipe/internal/obs"
@@ -147,17 +127,9 @@ type dpRun struct {
 
 	// Observability. stats points at statsBuf when Options.Obs is set
 	// and is nil otherwise, so every instrumented site costs exactly one
-	// pointer check when disabled; t0 anchors the plane-fill timeline.
+	// pointer check when disabled.
 	stats    *DPStats
-	obs      *obs.Registry
-	t0       time.Time
 	statsBuf DPStats
-
-	// certAny is set (atomically — plane-fill workers share it) when any
-	// wavefront cell recorded a memory-death certificate this run. It
-	// lives here rather than as a planeFill local so the worker closures
-	// capture only r and the run stays allocation-free.
-	certAny atomic.Bool
 
 	// Memory-interval tracking (frontier mode; see frontier.go). When
 	// mtrack is set, every memory-dependent operation the run executes —
@@ -723,8 +695,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			}
 			if stats != nil {
 				// Cut visits: a cut counts again when its frame resumes
-				// after a child suspension (the wavefront never resumes,
-				// so its count is the plain cut total).
+				// after a child suspension.
 				stats.CutsEvaluated++
 			}
 			cl := r.cLeft[k]
@@ -942,18 +913,13 @@ type dpConfig struct {
 	disc           Discretization
 	disableSpecial bool
 	weights        chain.WeightPolicy
-	// workers >= 2 selects the parallel wavefront evaluator on the tabled
-	// path (dense or blocked storage, with or without the column cache);
-	// <= 1 runs the sequential explicit-stack reference solver.
-	workers int
-	// obs enables stats collection and receives cumulative counters and
-	// phase timings; nil disables all instrumentation.
+	// obs enables stats collection and receives the run's cumulative
+	// counters; nil disables all instrumentation.
 	obs *obs.Registry
 	// mtrack enables memory-interval tracking for the frontier solver
 	// (frontier.go): the run accumulates the widest [MLo, MHi) on which
-	// its answer replays. Requires the sequential solver (the wavefront's
-	// plane-fill workers would race on the probe-global accumulator) and
-	// is only sound with cross-probe certificate adoption off.
+	// its answer replays; a run that adopts a cross-probe certificate
+	// collapses the claim to its own limit (see dpRun.mAdopted).
 	mtrack bool
 }
 
@@ -1011,8 +977,6 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 	}
 	if cfg.obs != nil {
 		r.stats = &r.statsBuf
-		r.obs = cfg.obs
-		r.t0 = time.Now()
 	}
 	if cfg.mtrack {
 		r.mtrack = true
@@ -1031,20 +995,7 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 		c: c, mem: plat.Memory,
 		weights: chain.WeightPolicy{Fixed: r.wFixed, PerBatch: r.wPerBatch},
 	})
-	var period float64
-	// The wavefront runs whenever a worker budget is granted: with the
-	// column cache when it fits, recomputing cut scalars inline past
-	// colMaxL, and on blocked tables too (the sequential frontier
-	// pre-materializes every block the plane fill writes; see
-	// wavefront.go). Only frontier-mode memory-interval tracking pins the
-	// sequential solver — its probe-global accumulator cannot be shared
-	// across plane-fill workers.
-	wave := cfg.workers >= 2 && !cfg.mtrack
-	if wave {
-		period = r.waveSolve(c.Len(), normals, cfg.workers)
-	} else {
-		period = r.solve(c.Len(), normals, 0, 0, 0)
-	}
+	period := r.solve(c.Len(), normals, 0, 0, 0)
 	res := &DPResult{Period: period, States: tab.states}
 	// Table economics are populated even without observability: they are
 	// a deterministic function of the run (no timing, no sampling), cost
@@ -1071,13 +1022,7 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 		}
 		return res, nil
 	}
-	var alloc *partition.Allocation
-	var err error
-	if wave {
-		phaseTimed(cfg.obs, "reconstruct", func() { alloc, err = r.reconstruct(normals) })
-	} else {
-		alloc, err = r.reconstruct(normals)
-	}
+	alloc, err := r.reconstruct(normals)
 	if err != nil {
 		return nil, err
 	}

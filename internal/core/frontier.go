@@ -130,9 +130,8 @@ func (f *FrontierResult) Breakpoints() int { return len(f.Segments) }
 // PlanAndSchedule calls at a sampled limit reuse phase 1 for free —
 // this is how the experiment sweeps consume the frontier.
 //
-// The walk needs the sequential reference search, so Options.Parallel
-// is forced to 1; callers parallelize across frontiers (rows), not
-// within one. A caller-supplied Options.Hint is armed for frontier
+// The walk plans at probe fan 1, so Options.Parallel is forced to 1;
+// callers parallelize across frontiers (rows), not within one. A caller-supplied Options.Hint is armed for frontier
 // mode and must not be shared with non-frontier searches.
 func PlanFrontier(c *chain.Chain, plat platform.Platform, mems []float64, opts Options) (*FrontierResult, error) {
 	return PlanFrontierCtx(context.Background(), c, plat, mems, opts)
@@ -147,9 +146,9 @@ func PlanFrontierCtx(ctx context.Context, c *chain.Chain, plat platform.Platform
 		ctx = context.Background()
 	}
 	opts = opts.withDefaults()
-	// The frontier store only works on the sequential search; speculative
-	// parallel probes would fold results whose memory intervals were
-	// never tracked.
+	// The walk's searches run at probe fan 1: the memo entries it writes
+	// and the FrontierReports built from it (served /v1/frontier bodies
+	// included) are pinned to that probe schedule.
 	opts.Parallel = 1
 	// Chain preprocessing runs ONCE for the whole walk, and the prepare
 	// fields are stripped before the per-sample searches: the hint, plan

@@ -188,13 +188,14 @@ func TestFrontierObsCounters(t *testing.T) {
 
 // TestBracketCandidatesDegenerate pins the invariants bracketCandidates
 // documents: candidates stay inside [lb, ub], a degenerate bracket
-// (lb == ub) yields lb exactly for every k, the k == 1 refinement is
-// the incremental midpoint, and the first round anchors at lb.
+// (lb == ub) yields lb exactly for every k, a one-probe round of a wide
+// fan is the incremental midpoint while fan 1 bisects at (lb+ub)/2, and
+// the first round anchors at lb.
 func TestBracketCandidatesDegenerate(t *testing.T) {
 	lb := 0.123456789
 	for _, k := range []int{1, 2, 3, 4} {
 		for _, first := range []bool{true, false} {
-			cands := bracketCandidates(lb, lb, k, first)
+			cands := bracketCandidates(nil, lb, lb, k, first, false)
 			for _, cand := range cands {
 				if cand != lb {
 					t.Fatalf("degenerate bracket k=%d first=%v: candidate %g != lb %g", k, first, cand, lb)
@@ -204,20 +205,28 @@ func TestBracketCandidatesDegenerate(t *testing.T) {
 	}
 	// ub < lb (a fold can push lb past ub on the last probe) clamps to
 	// the degenerate case rather than producing inverted candidates.
-	for _, cand := range bracketCandidates(2.0, 1.0, 3, false) {
+	for _, cand := range bracketCandidates(nil, 2.0, 1.0, 3, false, false) {
 		if cand != 2.0 {
 			t.Fatalf("inverted bracket: candidate %g != clamped lb", cand)
 		}
 	}
 	lo, hi := 1.0, 2.5
-	if mid := bracketCandidates(lo, hi, 1, false); len(mid) != 1 || mid[0] != lo+(hi-lo)/2 {
+	if mid := bracketCandidates(nil, lo, hi, 1, false, false); len(mid) != 1 || mid[0] != lo+(hi-lo)/2 {
 		t.Fatalf("k=1 midpoint = %v, want %g", mid, lo+(hi-lo)/2)
 	}
-	if firstRound := bracketCandidates(lo, hi, 4, true); firstRound[0] != lo {
+	if mid := bracketCandidates(nil, lo, hi, 1, false, true); len(mid) != 1 || mid[0] != (lo+hi)/2 {
+		t.Fatalf("bisection midpoint = %v, want %g", mid, (lo+hi)/2)
+	}
+	for _, bisect := range []bool{false, true} {
+		if firstRound := bracketCandidates(nil, lo, hi, 1, true, bisect); len(firstRound) != 1 || firstRound[0] != lo {
+			t.Fatalf("bisect=%v: first round does not anchor at lb: %v", bisect, firstRound)
+		}
+	}
+	if firstRound := bracketCandidates(nil, lo, hi, 4, true, false); len(firstRound) != 4 || firstRound[0] != lo {
 		t.Fatalf("first round does not anchor at lb: %v", firstRound)
 	}
 	for _, k := range []int{1, 2, 3, 4} {
-		for _, cand := range bracketCandidates(lo, hi, k, false) {
+		for _, cand := range bracketCandidates(nil, lo, hi, k, false, false) {
 			if cand < lo || cand > hi || math.IsNaN(cand) {
 				t.Fatalf("k=%d: candidate %g escapes [%g, %g]", k, cand, lo, hi)
 			}

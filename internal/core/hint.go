@@ -53,8 +53,8 @@ type Bracket struct {
 //
 // A Hint is confined to one goroutine at a time (the sweep's row
 // affinity guarantees this); it is not safe for concurrent use. Within
-// one PlanAllocation the parallel probe search consults and updates the
-// hint only on the coordinating goroutine.
+// one PlanAllocation the search consults and updates the hint only on
+// its coordinating goroutine, at every probe fan.
 type Hint struct {
 	bound bool
 	key   hintKey
@@ -321,6 +321,6 @@ type ResultHint struct {
 	// which the whole search provably replays: the intersection of every
 	// folded probe's validity interval (tracked for DP runs, recorded for
 	// store hits, (0, M] for floor hits). Populated only by frontier-mode
-	// sequential searches; both zero otherwise.
+	// searches; both zero otherwise.
 	MemLo, MemHi float64
 }

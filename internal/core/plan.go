@@ -53,29 +53,24 @@ type Options struct {
 	// Weights selects the weight-versioning policy; the zero value is
 	// the paper's PipeDream-2BW discipline (3W per stage).
 	Weights chain.WeightPolicy
-	// Parallel is the planner's total worker budget. 0 means auto: use
-	// GOMAXPROCS (clamped to at least 1). 1 runs the fully sequential
-	// reference planner. Values >= 2 are split between speculative
-	// Algorithm 1 probes (at most 4 bracket points per round, each on its
-	// own dpRun and dense table) and the wavefront workers evaluating
-	// each probe's DP; a single DP invocation (core.DP) spends the whole
-	// budget on the wavefront. Each individual DP probe is bit-identical
-	// to the sequential solver — same period, allocation and
-	// reconstruction choices (only the States counter can grow: the
-	// eager frontier visits a superset of the lazy value-pruned
-	// traversal). Algorithm 1's outputs are deterministic for a given
-	// setting and identical across settings with the same probe fan;
-	// settings with different fans probe different bracket points, so
-	// they can settle on a different (equally valid) target period.
+	// Parallel is Algorithm 1's probe fan-out budget. 0 means auto: use
+	// GOMAXPROCS (clamped to at least 1). 1 runs the paper's sequential
+	// bisection; larger budgets run min(Parallel, 4) bracket probes per
+	// round concurrently, each on its own DP table lease. Every probe
+	// runs the same sequential DP solver, so a probe at a given T̂ is
+	// bit-identical at every setting. Algorithm 1's outputs are
+	// deterministic for a given fan; different fans probe different
+	// bracket points, so they can settle on a different (equally valid)
+	// target period. Budgets above 4 therefore plan exactly like 4.
 	Parallel int
 	// Obs attaches an observability registry. When set, every DP run
 	// collects a DPStats counter set (states evaluated vs pruned per
-	// pruner, wavefront plane timeline, pool reuse), Algorithm 1 records
-	// a probe timeline with bracket convergence on each Eval, and phase
-	// durations (probe, frontier, plane-fill, reconstruct) accumulate in
-	// the registry. nil — the default — disables all instrumentation: the
-	// hot paths then pay one predicted-not-taken branch and zero extra
-	// allocations, and all planner outputs are bit-identical either way.
+	// pruner, table reuse), Algorithm 1 records a probe timeline with
+	// bracket convergence on each Eval, and per-probe durations
+	// accumulate in the registry's "probe" phase. nil — the default —
+	// disables all instrumentation: the hot paths then pay one
+	// predicted-not-taken branch and zero extra allocations, and all
+	// planner outputs are bit-identical either way.
 	Obs *obs.Registry
 	// Cache, when set, carries planner state across PlanAllocation calls:
 	// a result memo (identical inputs return the recorded result without
@@ -100,9 +95,7 @@ type Options struct {
 	// hint: the probe T̂ trajectory never changes, only the DP work needed
 	// to answer it (floor-answered probes report zero States). See Hint.
 	// A frontier-armed hint (PlanFrontier) additionally reuses feasible
-	// probe results across memory limits; only the sequential search
-	// (resolved Parallel == 1) consults and grows that store — the
-	// parallel search stays correct but reaps no frontier savings.
+	// probe results across memory limits, at any probe fan.
 	Hint *Hint
 }
 
@@ -136,51 +129,13 @@ func resolveParallel(p int) int {
 	return p
 }
 
-// probeFan splits a worker budget W >= 2 between concurrent Algorithm 1
-// probes and per-probe wavefront workers: at most 4 probes in flight,
-// the rest of the budget inside each probe's DP.
-func probeFan(w int) (fan, waveWorkers int) {
-	fan = w
-	if fan > 4 {
-		fan = 4
-	}
-	waveWorkers = w / fan
-	if waveWorkers < 1 {
-		waveWorkers = 1
-	}
-	return fan, waveWorkers
-}
+// maxProbeFan caps the bracket probes one Algorithm 1 round runs
+// concurrently.
+const maxProbeFan = 4
 
-// probePlan resolves the probe fan for a concrete planning shape.
-// probeFan splits the budget mechanically; this layer applies the
-// measured profitability rule for the per-probe wavefront: it pays only
-// on dense column-cached tables, where the frontier pass amortizes cut
-// scalars through the column cache. Past colMaxL — or when the state
-// space spills to blocked storage — the sequential reachability
-// frontier re-derives every cut inline for every marked cell (with no
-// value-based pruning to shorten the scan), which costs more than the
-// entire lazy solve: on the raw 2050-layer GPT-2 profile the wavefront
-// measures ~6x slower than one sequential probe at every worker count.
-// Those probes therefore stay on the lazy evaluator and the budget buys
-// probe fan-out only. runDP itself stays mechanical (workers >= 2
-// engages the wavefront) so tests and explicit core.DP calls can drive
-// the blocked wavefront directly.
-func probePlan(c *chain.Chain, plat platform.Platform, opts Options, w int) (fan, waveWorkers int) {
-	fan, waveWorkers = probeFan(w)
-	if waveWorkers < 2 {
-		return fan, waveWorkers
-	}
-	normals := plat.Workers - 1
-	nT, nM := opts.Disc.TP, opts.Disc.MP
-	if opts.DisableSpecial {
-		normals = plat.Workers
-		nT, nM = 1, 1
-	}
-	if c.Len() > colMaxL || !denseFits(c.Len(), normals, nT, nM, opts.Disc.V) {
-		waveWorkers = 1
-	}
-	return fan, waveWorkers
-}
+// probeFan is the number of bracket probes per round a resolved worker
+// budget buys.
+func probeFan(w int) int { return min(w, maxProbeFan) }
 
 // Eval records one iteration of Algorithm 1.
 type Eval struct {
@@ -195,8 +150,8 @@ type Eval struct {
 	// LB and UB are the search bracket immediately after this probe
 	// folded — the lb/ub convergence trace of Algorithm 1.
 	LB, UB float64
-	// Slot is the probe slot (table lease) that ran this probe; always 0
-	// in the sequential search.
+	// Slot is the probe slot (table lease) that ran this probe: its
+	// position within its bracket round, always 0 at probe fan 1.
 	Slot int
 	// StartNS and DurNS position the probe on the planning wall clock,
 	// relative to PlanAllocation entry. Recorded only when Options.Obs is
@@ -244,7 +199,6 @@ func DP(c *chain.Chain, plat platform.Platform, that float64, opts Options) (*DP
 		disc:           opts.Disc,
 		disableSpecial: opts.DisableSpecial,
 		weights:        opts.Weights,
-		workers:        resolveParallel(opts.Parallel),
 		obs:            opts.Obs,
 	})
 	if err != nil || cc == nil || res.Alloc == nil {
@@ -337,7 +291,7 @@ func PlanAllocation(c *chain.Chain, plat platform.Platform, opts Options) (*Phas
 }
 
 // PlanAllocationCtx is PlanAllocation under a context: the search checks
-// ctx between probes (and the parallel search between rounds), so a
+// ctx before every bracket round (every probe at fan 1), so a
 // deadline or cancellation stops the planner within roughly one DP
 // probe's duration — a single probe is never interrupted mid-run, which
 // keeps every folded probe bit-identical to the uncancelled search. A
@@ -381,159 +335,16 @@ func PlanAllocationCtx(ctx context.Context, c *chain.Chain, plat platform.Platfo
 		}
 	}
 
-	lb := c.TotalU() / float64(plat.Workers)
-	ub := c.TotalU() + c.TotalCommTimeAlphaBeta(plat.Latency, plat.Bandwidth)
-
-	// planStart anchors the probe timeline (Eval.StartNS); the clock is
-	// only consulted per probe when observability is on.
-	planStart := time.Now()
-
-	res := &PhaseOneResult{PredictedPeriod: math.Inf(1)}
-	// fold applies one probe result to the search state exactly as the
-	// sequential Algorithm 1 does, then snapshots the bracket into the
-	// Eval so the lb/ub convergence can be replayed from the log.
-	fold := func(that float64, dp *DPResult, slot int, startNS, durNS int64) {
-		ev := Eval{
-			That: that, Raw: dp.Period, Effective: math.Max(dp.Period, that),
-			States: dp.States, Slot: slot, StartNS: startNS, DurNS: durNS,
-			Stats: dp.Stats, Alloc: dp.Alloc,
-		}
-		if dp.Alloc == nil {
-			// Infeasible: every solution needs a larger target period.
-			ev.Raw = math.Inf(1)
-			ev.Effective = math.Inf(1)
-			lb = math.Max(lb, that)
-		} else {
-			if ev.Effective < res.PredictedPeriod {
-				res.PredictedPeriod = ev.Effective
-				res.TargetPeriod = that
-				res.Alloc = dp.Alloc
-			}
-			lb = math.Max(lb, math.Min(dp.Period, that))
-			ub = math.Min(ub, ev.Effective)
-		}
-		ev.LB, ev.UB = lb, ub
-		res.Evals = append(res.Evals, ev)
+	s := newSearch(c, plat, opts)
+	defer s.release()
+	if err := s.run(ctx); err != nil {
+		return nil, err
 	}
-
-	if w := resolveParallel(opts.Parallel); w > 1 {
-		if err := planParallel(ctx, c, plat, opts, w, planStart, &lb, &ub, fold, res); err != nil {
-			return nil, err
-		}
-	} else {
-		// Sequential bisection, reusing a single table across all probes:
-		// each probe only bumps the table's epoch stamp, the armed
-		// certificate store lets a failed probe's memory-death proofs
-		// prune every smaller-T̂ probe after it, and value certificates
-		// let later probes adopt earlier probes' entries outright. With a
-		// PlannerCache the table can arrive warm — certificates from a
-		// previous compatible call still live (certArm re-arms only on a
-		// memory-limit change).
-		tab, tkey := leaseTableFor(c, plat, opts)
-		defer returnTableFor(tab, tkey, opts)
-		frontier := opts.Hint.frontierArmed()
-		// Certificate adoption stays armed in frontier mode too — adoption
-		// never changes answers (TestCertReuseMatchesColdProbes), and
-		// disabling it would make every frontier probe pay the full DP,
-		// tripling sweep wall time. Soundness of the tracked memory
-		// intervals is preserved per run instead: a probe that adopted any
-		// certificate collapses its claim to the limit it verified
-		// (dpRun.mAdopted), and the frontier store's bracket merging
-		// re-widens coverage from outcome monotonicity alone.
-		tab.certArm(plat.Memory)
-		cfg := dpConfig{disc: opts.Disc, disableSpecial: opts.DisableSpecial, weights: opts.Weights, workers: 1, obs: opts.Obs, mtrack: frontier}
-		// smlo/smhi accumulate the whole search's memory-validity interval
-		// [MemLo, MemHi): the intersection of every folded probe's own
-		// interval (frontier mode only).
-		smlo, smhi := 0.0, inf
-		var probeErr error
-		labelPhase("probe", func() {
-			that := lb
-			for i := 0; i < opts.Iterations; i++ {
-				if probeErr = planCtxErr(ctx, len(res.Evals)); probeErr != nil {
-					return
-				}
-				if opts.Hint.covered(opts.DisableSpecial, that, plat.Memory) {
-					// A neighbor cell's floor proves this exact probe
-					// infeasible at our (smaller or equal) memory limit; fold
-					// the infeasible result without running the DP. The lb/ub
-					// trace, probe count and final result are bit-identical to
-					// the cold search — only States drops to zero.
-					res.Hint.ProbesSaved++
-					if frontier {
-						if fm, ok := opts.Hint.floorAt(opts.DisableSpecial, that); ok {
-							if hi := math.Nextafter(fm, inf); hi < smhi {
-								smhi = hi
-							}
-						}
-					}
-					fold(that, &DPResult{Period: math.Inf(1)}, 0, 0, 0)
-				} else if dp, ok := opts.Hint.frontierCovered(opts.DisableSpecial, that, plat.Memory, plat); ok {
-					// A feasible probe recorded at another memory limit whose
-					// validity interval contains ours: fold its result — same
-					// period, same allocation re-targeted at this platform —
-					// without a DP run. States stays zero, like a floor fold.
-					res.Hint.ProbesSaved++
-					res.Hint.FrontierSaved++
-					if dp.MLo > smlo {
-						smlo = dp.MLo
-					}
-					if dp.MHi < smhi {
-						smhi = dp.MHi
-					}
-					fold(that, dp, 0, 0, 0)
-				} else {
-					var pStart time.Time
-					if opts.Obs != nil {
-						pStart = time.Now()
-					}
-					dp, err := runDPWith(tab, c, plat, that, cfg)
-					if err != nil {
-						probeErr = err
-						return
-					}
-					var startNS, durNS int64
-					if opts.Obs != nil {
-						d := time.Since(pStart)
-						opts.Obs.Phase("probe").Add(d)
-						startNS = pStart.Sub(planStart).Nanoseconds()
-						durNS = d.Nanoseconds()
-					}
-					if dp.Alloc == nil {
-						opts.Hint.record(opts.DisableSpecial, that, plat.Memory)
-						if frontier {
-							// The floor just recorded is exact for every
-							// M' <= Memory (see Hint); below-only coverage is
-							// all a downward frontier walk needs.
-							if hi := math.Nextafter(plat.Memory, inf); hi < smhi {
-								smhi = hi
-							}
-						}
-					} else if frontier {
-						opts.Hint.frontierRecord(opts.DisableSpecial, that, dp)
-						if dp.MLo > smlo {
-							smlo = dp.MLo
-						}
-						if dp.MHi < smhi {
-							smhi = dp.MHi
-						}
-					}
-					fold(that, dp, 0, startNS, durNS)
-				}
-				if ub <= lb {
-					break
-				}
-				that = (lb + ub) / 2
-			}
-		})
-		if probeErr != nil {
-			return nil, probeErr
-		}
-		if frontier {
-			res.Hint.MemLo, res.Hint.MemHi = smlo, smhi
-		}
+	res := s.res
+	res.Hint.Bracket = Bracket{Lo: s.lb, Hi: s.ub}
+	if s.frontier {
+		res.Hint.MemLo, res.Hint.MemHi = s.smlo, s.smhi
 	}
-	res.Hint.Bracket = Bracket{Lo: lb, Hi: ub}
 	res.Hint.Probes = len(res.Evals)
 	flushPlan(opts.Obs, res.Hint.Probes, res.Hint.ProbesSaved)
 	if res.Alloc == nil {
@@ -588,128 +399,275 @@ func returnTableFor(t *dpTable, k tableKey, opts Options) {
 	releaseTable(t, opts.Obs)
 }
 
-// planParallel probes several bracket points per round on concurrent
-// dpRuns. Candidates are derived only from the bracket (deterministic)
-// and results are folded in ascending-T̂ order, so the outcome is
-// identical across runs for a fixed option set. Probe slot i leases
-// table i for the whole search: across rounds the slot's probes reuse
-// the table's columns, gmax memo and armed certificate store, so later
-// rounds start warm. The total probe budget is opts.Iterations,
-// matching the sequential search's DP work; budget beyond the probe fan
-// goes to each probe's wavefront workers when the shape profits from
-// them (see probePlan). The hint (when present) is
-// consulted and updated only here, on the coordinating goroutine:
-// floor-covered candidates never spawn a probe goroutine, and floors are
-// recorded during the sequential fold pass.
-func planParallel(ctx context.Context, c *chain.Chain, plat platform.Platform, opts Options, w int, planStart time.Time, lb, ub *float64, fold func(float64, *DPResult, int, int64, int64), res *PhaseOneResult) error {
-	fan, waveW := probePlan(c, plat, opts, w)
-	tabs := make([]*dpTable, fan)
-	for i := range tabs {
-		if i == 0 {
-			// Slot 0 is the cache-backed lease: the deterministic fold
-			// order makes it the slot whose probes anchor the search, so
-			// it is the one that benefits most from arriving warm. The
-			// remaining slots come from the shared pool cold.
-			tab, tkey := leaseTableFor(c, plat, opts)
-			defer returnTableFor(tab, tkey, opts)
-			tabs[0] = tab
-		} else {
-			tabs[i] = acquireTable()
-			defer releaseTable(tabs[i], opts.Obs)
-		}
-		tabs[i].certArm(plat.Memory)
+// search is one run of Algorithm 1: bracket rounds of up to fan probes
+// each, folded in ascending-T̂ order until the probe budget is spent or
+// the bracket closes. At fan 1 this is the paper's bisection. Probe slot
+// i leases table i for the whole search: across rounds the slot's
+// probes reuse the table's columns, gmax memo and armed certificate
+// store, so later rounds start warm. The hint is consulted and updated
+// only on the coordinating goroutine: hint-answered probes never run
+// the DP, and floors and frontier records are written during the fold.
+type search struct {
+	c         *chain.Chain
+	plat      platform.Platform
+	opts      Options
+	cfg       dpConfig
+	fan       int
+	frontier  bool
+	planStart time.Time // anchors the probe timeline (Eval.StartNS)
+	tkey      tableKey  // slot 0's lease key
+
+	// lb and ub are the bracket. smlo/smhi accumulate the search's
+	// memory-validity interval [MemLo, MemHi) in frontier mode: the
+	// intersection of every folded probe's own interval.
+	lb, ub, smlo, smhi float64
+	res                *PhaseOneResult
+
+	// Per-round scratch, allocated once with the search: cands holds
+	// the round's probe targets (backed by candBuf), slots[i] probes
+	// cands[i].
+	slots   [maxProbeFan]probeSlot
+	candBuf [maxProbeFan]float64
+	cands   []float64
+	wg      sync.WaitGroup
+}
+
+// probeSlot is one probe lane: the table it leases for the whole search
+// and the current round's probe.
+type probeSlot struct {
+	tab        *dpTable
+	that       float64
+	dp         *DPResult
+	err        error
+	ran        bool // dp came from a DP run, not from the hint
+	start, dur int64
+}
+
+// newSearch leases the search's tables and sets the initial bracket.
+// Slot 0 is the cache-backed lease: the fold order makes it the slot
+// whose probes anchor the search, so it benefits most from arriving
+// warm (with a PlannerCache, certificates from a previous compatible
+// call are still live; certArm re-arms only on a memory-limit change).
+// The other slots lease cold tables from the shared pool.
+func newSearch(c *chain.Chain, plat platform.Platform, opts Options) *search {
+	s := &search{
+		c: c, plat: plat, opts: opts,
+		fan:       probeFan(resolveParallel(opts.Parallel)),
+		frontier:  opts.Hint.frontierArmed(),
+		planStart: time.Now(),
+		lb:        c.TotalU() / float64(plat.Workers),
+		ub:        c.TotalU() + c.TotalCommTimeAlphaBeta(plat.Latency, plat.Bandwidth),
+		smhi:      inf,
+		// A search folds at most Iterations probes; reserving them up
+		// front (bounded, for absurd budgets) spares the append growth.
+		res: &PhaseOneResult{PredictedPeriod: math.Inf(1), Evals: make([]Eval, 0, min(max(opts.Iterations, 0), 64))},
 	}
-	cfg := dpConfig{disc: opts.Disc, disableSpecial: opts.DisableSpecial, weights: opts.Weights, workers: waveW, obs: opts.Obs}
+	// Certificate adoption stays armed in frontier mode too — adoption
+	// never changes answers (TestCertReuseMatchesColdProbes), and
+	// disabling it would make every frontier probe pay the full DP.
+	// Soundness of the tracked memory intervals is preserved per run
+	// instead: a probe that adopted any certificate collapses its claim
+	// to the limit it verified (dpRun.mAdopted), and the frontier store's
+	// bracket merging re-widens coverage from outcome monotonicity alone.
+	s.cfg = dpConfig{disc: opts.Disc, disableSpecial: opts.DisableSpecial, weights: opts.Weights, obs: opts.Obs, mtrack: s.frontier}
+	s.slots[0].tab, s.tkey = leaseTableFor(c, plat, opts)
+	for i := 1; i < s.fan; i++ {
+		s.slots[i].tab = acquireTable()
+	}
+	for i := 0; i < s.fan; i++ {
+		s.slots[i].tab.certArm(plat.Memory)
+	}
+	return s
+}
 
-	budget := opts.Iterations
-	first := true
-	for budget > 0 && (first || *ub > *lb) {
-		if err := planCtxErr(ctx, len(res.Evals)); err != nil {
-			return err
-		}
-		k := fan
-		if k > budget {
-			k = budget
-		}
-		cands := bracketCandidates(*lb, *ub, k, first)
-		first = false
-		budget -= len(cands)
+// release returns the search's tables, the highest slot first.
+func (s *search) release() {
+	for i := s.fan - 1; i > 0; i-- {
+		releaseTable(s.slots[i].tab, s.opts.Obs)
+	}
+	returnTableFor(s.slots[0].tab, s.tkey, s.opts)
+}
 
-		results := make([]*DPResult, len(cands))
-		errs := make([]error, len(cands))
-		starts := make([]int64, len(cands))
-		durs := make([]int64, len(cands))
-		var wg sync.WaitGroup
-		for i, that := range cands {
-			if opts.Hint.covered(opts.DisableSpecial, that, plat.Memory) {
-				// Answered by a neighbor cell's floor: fold as an infeasible
-				// probe (same trajectory as the cold search) without a DP
-				// goroutine.
-				res.Hint.ProbesSaved++
-				results[i] = &DPResult{Period: math.Inf(1)}
-				continue
+// run executes the bracket rounds.
+func (s *search) run(ctx context.Context) error {
+	var err error
+	labelPhase("probe", func() {
+		budget := s.opts.Iterations
+		for first := true; budget > 0 && (first || s.ub > s.lb); first = false {
+			if err = planCtxErr(ctx, len(s.res.Evals)); err != nil {
+				return
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				labelPhase("probe", func() {
-					var pStart time.Time
-					if cfg.obs != nil {
-						pStart = time.Now()
-					}
-					results[i], errs[i] = runDPWith(tabs[i], c, plat, that, cfg)
-					if cfg.obs != nil {
-						d := time.Since(pStart)
-						cfg.obs.Phase("probe").Add(d)
-						starts[i] = pStart.Sub(planStart).Nanoseconds()
-						durs[i] = d.Nanoseconds()
-					}
-				})
-			}()
+			k := min(s.fan, budget)
+			budget -= k
+			s.cands = bracketCandidates(s.candBuf[:0], s.lb, s.ub, k, first, s.fan == 1)
+			if err = s.round(); err != nil {
+				return
+			}
 		}
-		wg.Wait()
-		for i := range cands {
-			if errs[i] != nil {
-				return errs[i]
-			}
-			if results[i].Alloc == nil {
-				opts.Hint.record(opts.DisableSpecial, cands[i], plat.Memory)
-			}
-			fold(cands[i], results[i], i, starts[i], durs[i])
+	})
+	return err
+}
+
+// round answers what it can of one round's candidates from the hint,
+// runs the rest concurrently (the last one on this goroutine) and folds
+// all of them in candidate order.
+func (s *search) round() error {
+	last := -1
+	for i, that := range s.cands {
+		sl := &s.slots[i]
+		*sl = probeSlot{tab: sl.tab, that: that}
+		if sl.dp = s.answer(that); sl.dp != nil {
+			continue
 		}
+		if last >= 0 {
+			s.wg.Add(1)
+			go func(sl *probeSlot) {
+				defer s.wg.Done()
+				s.probe(sl)
+			}(&s.slots[last])
+		}
+		last = i
+	}
+	if last >= 0 {
+		s.probe(&s.slots[last])
+	}
+	s.wg.Wait()
+	for i := range s.cands {
+		sl := &s.slots[i]
+		if sl.err != nil {
+			return sl.err
+		}
+		s.fold(i, sl)
 	}
 	return nil
 }
 
-// bracketCandidates spreads k probe targets over the bracket. The first
-// round anchors at the lower bound — the sequential search's first probe
-// — and later rounds sample interior points lb + (ub-lb)·i/(k+1), which
-// for k == 1 is the midpoint in the incremental formulation lb +
-// (ub-lb)/2 (up to one ulp from the sequential search's (lb+ub)/2 — the
-// two searches have distinct probe schedules by design, see
-// Options.Parallel). Two invariants the parallel search relies on:
+// answer returns the hint's result for a probe target without running
+// the DP, or nil. A neighbor cell's floor proves the probe infeasible at
+// this (smaller or equal) memory limit; a feasible probe recorded at
+// another limit whose validity interval contains this one replays its
+// period and allocation, re-targeted at this platform. Either way the
+// trajectory and result are bit-identical to the cold search — only
+// States drops to zero.
+func (s *search) answer(that float64) *DPResult {
+	h, mode, mem := s.opts.Hint, s.opts.DisableSpecial, s.plat.Memory
+	if h.covered(mode, that, mem) {
+		s.res.Hint.ProbesSaved++
+		if s.frontier {
+			if fm, ok := h.floorAt(mode, that); ok {
+				s.pin(0, math.Nextafter(fm, inf))
+			}
+		}
+		return &DPResult{Period: math.Inf(1)}
+	}
+	if dp, ok := h.frontierCovered(mode, that, mem, s.plat); ok {
+		s.res.Hint.ProbesSaved++
+		s.res.Hint.FrontierSaved++
+		s.pin(dp.MLo, dp.MHi)
+		return dp
+	}
+	return nil
+}
+
+// probe runs one DP probe on its slot's table.
+func (s *search) probe(sl *probeSlot) {
+	var t0 time.Time
+	if s.opts.Obs != nil {
+		t0 = time.Now()
+	}
+	sl.dp, sl.err = runDPWith(sl.tab, s.c, s.plat, sl.that, s.cfg)
+	sl.ran = true
+	if s.opts.Obs != nil {
+		d := time.Since(t0)
+		s.opts.Obs.Phase("probe").Add(d)
+		sl.start = t0.Sub(s.planStart).Nanoseconds()
+		sl.dur = d.Nanoseconds()
+	}
+}
+
+// pin narrows the search's memory-validity interval.
+func (s *search) pin(lo, hi float64) {
+	if lo > s.smlo {
+		s.smlo = lo
+	}
+	if hi < s.smhi {
+		s.smhi = hi
+	}
+}
+
+// fold records a DP-run probe in the hint, applies the probe to the
+// bracket and the best result, and logs it with the bracket it left.
+func (s *search) fold(slot int, sl *probeSlot) {
+	dp, that, res := sl.dp, sl.that, s.res
+	if sl.ran {
+		if dp.Alloc == nil {
+			s.opts.Hint.record(s.opts.DisableSpecial, that, s.plat.Memory)
+			if s.frontier {
+				// The floor just recorded is exact for every M' <= Memory
+				// (see Hint); below-only coverage is all a downward
+				// frontier walk needs.
+				s.pin(0, math.Nextafter(s.plat.Memory, inf))
+			}
+		} else if s.frontier {
+			s.opts.Hint.frontierRecord(s.opts.DisableSpecial, that, dp)
+			s.pin(dp.MLo, dp.MHi)
+		}
+	}
+	ev := Eval{
+		That: that, Raw: dp.Period, Effective: math.Max(dp.Period, that),
+		States: dp.States, Slot: slot, StartNS: sl.start, DurNS: sl.dur,
+		Stats: dp.Stats, Alloc: dp.Alloc,
+	}
+	if dp.Alloc == nil {
+		// Infeasible: every solution needs a larger target period.
+		ev.Raw = math.Inf(1)
+		ev.Effective = math.Inf(1)
+		s.lb = math.Max(s.lb, that)
+	} else {
+		if ev.Effective < res.PredictedPeriod {
+			res.PredictedPeriod = ev.Effective
+			res.TargetPeriod = that
+			res.Alloc = dp.Alloc
+		}
+		s.lb = math.Max(s.lb, math.Min(dp.Period, that))
+		s.ub = math.Min(s.ub, ev.Effective)
+	}
+	ev.LB, ev.UB = s.lb, s.ub
+	res.Evals = append(res.Evals, ev)
+}
+
+// bracketCandidates appends one round's k probe targets to out. With
+// bisect set (probe fan 1) this is the paper's bisection: the first
+// probe sits at the lower bound and every later one at (lb+ub)/2.
+// Wider fans anchor the first round at lb as well and sample interior
+// points lb + (ub-lb)·i/(k+1) — for k == 1, when a fan-3 search reaches
+// a one-probe round, the incremental midpoint lb + (ub-lb)/2, up to one
+// ulp from (lb+ub)/2. Two invariants the search relies on:
 //
 //   - Candidates never leave [lb, ub]: ub is clamped up to lb first and
 //     the interpolation weight i/(k+1) lies in (0, 1), so a fold that
-//     tightened the bracket cannot push a probe outside it.
+//     tightened the bracket cannot push a probe outside it. (Bisection
+//     midpoints are only taken while ub > lb.)
 //   - At a degenerate bracket (lb == ub, produced when a feasible fold
 //     lands Effective exactly on the lower bound with budget left)
-//     every candidate equals lb exactly: ub-lb is exactly zero and
-//     lb + 0·w == lb in floating point for the positive periods probed
-//     here, so the k == 1 midpoint re-probes lb instead of drifting off
-//     the bracket by an ulp. TestBracketCandidatesDegenerate pins both.
-func bracketCandidates(lb, ub float64, k int, first bool) []float64 {
-	if ub < lb {
-		ub = lb
-	}
-	out := make([]float64, 0, k)
+//     every interpolated candidate equals lb exactly: ub-lb is exactly
+//     zero and lb + 0·w == lb in floating point for the positive
+//     periods probed here, so a round re-probes lb instead of drifting
+//     off the bracket by an ulp. TestBracketCandidatesDegenerate pins
+//     both.
+func bracketCandidates(out []float64, lb, ub float64, k int, first, bisect bool) []float64 {
 	if first {
 		out = append(out, lb)
 		k--
-		for i := 1; i <= k; i++ {
-			out = append(out, lb+(ub-lb)*float64(i)/float64(k+1))
+	}
+	if bisect {
+		if !first {
+			out = append(out, (lb+ub)/2)
 		}
 		return out
+	}
+	if ub < lb {
+		ub = lb
 	}
 	for i := 1; i <= k; i++ {
 		out = append(out, lb+(ub-lb)*float64(i)/float64(k+1))

@@ -14,7 +14,7 @@ import (
 // PlanReports and exported traces, so archived artifacts are
 // self-describing. Bump it when a change alters planner outputs or the
 // meaning of a reported counter.
-const PlannerVersion = "madpipe-planner/5"
+const PlannerVersion = "madpipe-planner/6"
 
 // ChainSummary condenses the planned chain for reports and trace
 // metadata.
@@ -33,8 +33,8 @@ type PlatformSummary struct {
 }
 
 // OptionsSummary records the planner options a run used, with the
-// parallelism already resolved to concrete worker counts (Parallel is
-// the raw option; Workers/ProbeFan/WaveWorkers the resolved split).
+// parallelism already resolved (Parallel is the raw option, Workers the
+// resolved budget and ProbeFan the bracket probes per round it buys).
 type OptionsSummary struct {
 	Disc           Discretization `json:"disc"`
 	Iterations     int            `json:"iterations"`
@@ -43,7 +43,6 @@ type OptionsSummary struct {
 	Parallel       int            `json:"parallel"`
 	Workers        int            `json:"workers"`
 	ProbeFan       int            `json:"probe_fan"`
-	WaveWorkers    int            `json:"wave_workers"`
 	Observed       bool           `json:"observed"`
 }
 
@@ -59,7 +58,8 @@ type ProbeReport struct {
 	// LB/UB are the bisection bracket after this probe folded.
 	LB float64 `json:"lb"`
 	UB float64 `json:"ub"`
-	// Slot is the probe slot (parallel search) that ran the probe.
+	// Slot is the probe slot (position in its bracket round) that ran
+	// the probe.
 	Slot int `json:"slot"`
 	// StartNS/DurNS position the probe on the planning wall clock
 	// (zero when observability was off).
@@ -116,17 +116,6 @@ type PlanReport struct {
 func NewPlanReport(c *chain.Chain, plat platform.Platform, opts Options, p1 *PhaseOneResult) *PlanReport {
 	opts = opts.withDefaults()
 	w := resolveParallel(opts.Parallel)
-	fan, waveW := 1, 1
-	if w > 1 {
-		// Report the split the parallel search actually ran with:
-		// probePlan's wavefront demotion keys on the prepared (capped,
-		// coarsened) chain, not the raw input.
-		pc := c
-		if p, _, err := prepared(c, opts); err == nil {
-			pc = p
-		}
-		fan, waveW = probePlan(pc, plat, opts, w)
-	}
 	r := &PlanReport{
 		Version: PlannerVersion,
 		Chain: ChainSummary{
@@ -145,8 +134,7 @@ func NewPlanReport(c *chain.Chain, plat platform.Platform, opts Options, p1 *Pha
 			MaxChainLength: opts.MaxChainLength,
 			Parallel:       opts.Parallel,
 			Workers:        w,
-			ProbeFan:       fan,
-			WaveWorkers:    waveW,
+			ProbeFan:       probeFan(w),
 			Observed:       opts.Obs != nil,
 		},
 		PredictedPeriod: p1.PredictedPeriod,
@@ -269,7 +257,7 @@ type FrontierReport struct {
 // opts must be the inputs PlanFrontier received.
 func NewFrontierReport(c *chain.Chain, plat platform.Platform, opts Options, fr *FrontierResult) *FrontierReport {
 	opts = opts.withDefaults()
-	opts.Parallel = 1 // PlanFrontier pins the sequential search
+	opts.Parallel = 1 // PlanFrontier plans at probe fan 1
 	plat.Memory = fr.Samples[0]
 	r := &FrontierReport{
 		Version: PlannerVersion,
@@ -290,7 +278,6 @@ func NewFrontierReport(c *chain.Chain, plat platform.Platform, opts Options, fr 
 			Parallel:       opts.Parallel,
 			Workers:        1,
 			ProbeFan:       1,
-			WaveWorkers:    1,
 			Observed:       opts.Obs != nil,
 		},
 		Samples:       fr.Samples,

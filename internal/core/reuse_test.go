@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -288,7 +289,7 @@ func TestTableTrimPolicy(t *testing.T) {
 // report is a cold probe (nothing to adopt yet), so its counters must
 // stay exactly reproducible — and the headline predicted period with
 // them. If this test fails after an intentional planner change,
-// regenerate results/planreport_fig6.json (make obs-demo) and re-commit.
+// regenerate both Fig. 6 fixtures (make fig6-fixtures) and re-commit.
 func TestProbeStatesPinnedToFig6Report(t *testing.T) {
 	raw, err := os.ReadFile("../../results/planreport_fig6.json")
 	if err != nil {
@@ -308,7 +309,7 @@ func TestProbeStatesPinnedToFig6Report(t *testing.T) {
 		t.Fatalf("coarsen: %v", err)
 	}
 	pl := platform.Platform{Workers: 4, Memory: 10 * platform.GB, Bandwidth: 12 * platform.GB}
-	res, err := PlanAllocation(cc, pl, Options{Parallel: 8, Obs: obs.NewRegistry()})
+	res, err := PlanAllocation(cc, pl, Options{Parallel: want.Options.Parallel, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -329,8 +330,7 @@ func TestProbeStatesPinnedToFig6Report(t *testing.T) {
 	g, w := got.Stats, pin.Stats
 	if g.StatesCertPruned != w.StatesCertPruned || g.CertsRecorded != w.CertsRecorded ||
 		g.CutsEvaluated != w.CutsEvaluated || g.ColumnsOpened != w.ColumnsOpened ||
-		g.ColumnEntryFills != w.ColumnEntryFills || g.FrontierCells != w.FrontierCells ||
-		g.PlanesFilled != w.PlanesFilled || g.PlaneCellsMax != w.PlaneCellsMax {
+		g.ColumnEntryFills != w.ColumnEntryFills || g.CutsSkippedMonotone != w.CutsSkippedMonotone {
 		t.Fatalf("probe 0 counters diverged from committed report:\n got %+v\nwant %+v", g, w)
 	}
 }
@@ -356,5 +356,54 @@ func TestCertArmMemoryChange(t *testing.T) {
 	}
 	if tab.certDead(3, 0.4) {
 		t.Fatalf("certificate survived a memory change")
+	}
+}
+
+// TestCertReuseMatchesColdProbes checks the cross-probe certificate
+// store against the ground truth: every probe Algorithm 1 logs — warm,
+// certificate-assisted, column-cached — must report the exact Raw
+// period and allocation that a cold, certificate-free DP invocation at
+// the same T̂ computes. Memory is squeezed so the bisection's low probes
+// genuinely fail and record memory-death certificates that later,
+// smaller-T̂ probes consult.
+func TestCertReuseMatchesColdProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		c := chain.Random(rng, 4+rng.Intn(8), chain.DefaultRandomOptions())
+		pl := plat(3+rng.Intn(3), 2e9+rng.Float64()*6e9, 12e9)
+		pl.Latency = rng.Float64() * 1e-4
+		for _, par := range []int{1, 8} {
+			opts := Options{Iterations: 12, Parallel: par}
+			res, err := PlanAllocation(c, pl, opts)
+			if err != nil {
+				continue // infeasible everywhere: nothing to cross-check
+			}
+			for _, ev := range res.Evals {
+				cold, err := DP(c, pl, ev.That, Options{Parallel: 1})
+				if err != nil {
+					t.Fatalf("trial %d: cold DP at T̂=%g: %v", trial, ev.That, err)
+				}
+				coldRaw := cold.Period
+				if cold.Alloc == nil {
+					coldRaw = math.Inf(1)
+				}
+				if ev.Raw != coldRaw {
+					t.Fatalf("trial %d parallel %d: warm probe at T̂=%g returned %g, cold solver %g",
+						trial, par, ev.That, ev.Raw, coldRaw)
+				}
+				if (ev.Alloc == nil) != (cold.Alloc == nil) {
+					t.Fatalf("trial %d parallel %d: feasibility mismatch at T̂=%g", trial, par, ev.That)
+				}
+				if ev.Alloc == nil {
+					continue
+				}
+				for i := range ev.Alloc.Spans {
+					if ev.Alloc.Spans[i] != cold.Alloc.Spans[i] || ev.Alloc.Procs[i] != cold.Alloc.Procs[i] {
+						t.Fatalf("trial %d parallel %d: allocation differs at T̂=%g stage %d",
+							trial, par, ev.That, i)
+					}
+				}
+			}
+		}
 	}
 }

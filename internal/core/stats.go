@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sync/atomic"
+	"context"
+	"runtime/pprof"
 	"time"
 
 	"madpipe/internal/obs"
@@ -10,16 +11,11 @@ import (
 // DPStats is the per-invocation counter set of one MadPipe-DP run,
 // collected only when Options.Obs is non-nil (the planner's
 // observability switch). Every field is deterministic for a fixed
-// (chain, platform, T̂, options) input: the wavefront's counts are
-// independent of the worker count (each parallel worker accumulates
-// chunk-locally and folds atomically, see planeFill), and the sequential
-// solver's counts are a pure function of its traversal. Wall-clock
-// fields (PlaneSamples timings) are the only nondeterministic content.
+// (chain, platform, T̂, options) input and table state: the counts are
+// a pure function of the solver's traversal.
 //
 // The counters decompose the planner's pruning by mechanism:
 //
-//   - CutsSkippedKmin: cut positions below the frontier's kmin floor —
-//     excluded by the value-free upper bounds (wavefront only).
 //   - CutsSkippedMonotone: cut positions abandoned by the monotone
 //     U(k,l) >= best break in the cut loop.
 //   - GmaxMemoHits: normal-branch memory thresholds answered by the
@@ -50,13 +46,9 @@ type DPStats struct {
 	// T̂-independent hoists (U prefix sums, per-cut weights, comm terms)
 	// instead of rebuilding them.
 	HoistReuses uint64 `json:"hoist_reuses"`
-	// CutsEvaluated counts visits of the DP's inner cut loop (the lazy
-	// solver revisits a cut when it resumes after a child suspension;
-	// the wavefront visits each cut at most once).
+	// CutsEvaluated counts visits of the DP's inner cut loop (the
+	// solver revisits a cut when it resumes after a child suspension).
 	CutsEvaluated uint64 `json:"cuts_evaluated"`
-	// CutsSkippedKmin counts cut positions excluded by the wavefront
-	// frontier's kmin floor.
-	CutsSkippedKmin uint64 `json:"cuts_skipped_kmin"`
 	// CutsSkippedMonotone counts cut positions abandoned by the
 	// monotone bottleneck break (U only grows as k decreases).
 	CutsSkippedMonotone uint64 `json:"cuts_skipped_monotone"`
@@ -68,18 +60,6 @@ type DPStats struct {
 	// directory opens and lazy per-delay entry fills.
 	ColumnsOpened    uint64 `json:"columns_opened"`
 	ColumnEntryFills uint64 `json:"column_entry_fills"`
-	// FrontierCells counts cells marked reachable by the wavefront's
-	// sequential frontier pass.
-	FrontierCells uint64 `json:"frontier_cells"`
-	// PlanesFilled / PlanesParallel count wavefront planes evaluated,
-	// and how many of them were fanned across the worker pool (the rest
-	// ran inline below the parallel threshold). ChunksDispatched is the
-	// number of work chunks handed to the pool — the occupancy measure:
-	// chunks per parallel plane ~ worker count when planes are wide.
-	PlanesFilled     uint64 `json:"planes_filled"`
-	PlanesParallel   uint64 `json:"planes_parallel"`
-	PlaneCellsMax    uint64 `json:"plane_cells_max"`
-	ChunksDispatched uint64 `json:"chunks_dispatched"`
 	// TableEpochReuses / TableGrows record whether the pooled dense
 	// table served this run by bumping its epoch stamp or had to grow
 	// its backing array.
@@ -94,37 +74,10 @@ type DPStats struct {
 	TableVirtualBytes   uint64 `json:"table_virtual_bytes,omitempty"`
 	TableResidentBytes  uint64 `json:"table_resident_bytes,omitempty"`
 	TableBlocksResident uint64 `json:"table_blocks_resident,omitempty"`
-	// BlocksPublished counts blocked-table blocks a plane-fill worker had
-	// to CAS-publish because the frontier's pre-materialization missed
-	// them. Zero by construction today (mark materializes every cell the
-	// plane fill writes); a nonzero value is the diagnostic that the
-	// straggler fallback fired. Scheduling-dependent in principle (which
-	// worker wins the CAS), so it is excluded from counterEqual.
-	BlocksPublished uint64 `json:"blocks_published,omitempty"`
-
-	// PlaneSamples is the wavefront plane-fill timeline: one sample per
-	// plane, offsets relative to the DP run's start. Sizes and chunk
-	// counts are deterministic; timings are wall-clock.
-	PlaneSamples []PlaneSample `json:"plane_samples,omitempty"`
 }
 
-// PlaneSample is one wavefront plane in the plane-fill timeline.
-type PlaneSample struct {
-	// Level is the plane's prefix length l.
-	Level int `json:"level"`
-	// Cells is the number of frontier-marked cells evaluated.
-	Cells int `json:"cells"`
-	// Chunks is the number of pool chunks (0 = evaluated inline).
-	Chunks int `json:"chunks"`
-	// StartNS/DurNS position the plane on the run's wall clock,
-	// relative to the start of the DP invocation.
-	StartNS int64 `json:"start_ns"`
-	DurNS   int64 `json:"dur_ns"`
-}
-
-// add folds o into s: counters sum, high-water marks take the maximum,
-// plane samples concatenate. Used to aggregate per-probe stats into
-// Algorithm 1 totals.
+// add folds o into s: counters sum, high-water marks take the maximum.
+// Used to aggregate per-probe stats into Algorithm 1 totals.
 func (s *DPStats) add(o *DPStats) {
 	s.StatesEvaluated += o.StatesEvaluated
 	s.StatesCertPruned += o.StatesCertPruned
@@ -133,19 +86,11 @@ func (s *DPStats) add(o *DPStats) {
 	s.ValCertsRecorded += o.ValCertsRecorded
 	s.HoistReuses += o.HoistReuses
 	s.CutsEvaluated += o.CutsEvaluated
-	s.CutsSkippedKmin += o.CutsSkippedKmin
 	s.CutsSkippedMonotone += o.CutsSkippedMonotone
 	s.GmaxMemoHits += o.GmaxMemoHits
 	s.GmaxComputed += o.GmaxComputed
 	s.ColumnsOpened += o.ColumnsOpened
 	s.ColumnEntryFills += o.ColumnEntryFills
-	s.FrontierCells += o.FrontierCells
-	s.PlanesFilled += o.PlanesFilled
-	s.PlanesParallel += o.PlanesParallel
-	if o.PlaneCellsMax > s.PlaneCellsMax {
-		s.PlaneCellsMax = o.PlaneCellsMax
-	}
-	s.ChunksDispatched += o.ChunksDispatched
 	s.TableEpochReuses += o.TableEpochReuses
 	s.TableGrows += o.TableGrows
 	if o.TableVirtualBytes > s.TableVirtualBytes {
@@ -157,19 +102,6 @@ func (s *DPStats) add(o *DPStats) {
 	if o.TableBlocksResident > s.TableBlocksResident {
 		s.TableBlocksResident = o.TableBlocksResident
 	}
-	s.BlocksPublished += o.BlocksPublished
-}
-
-// atomicAdd folds the counter fields of o into s with atomic adds. The
-// wavefront's plane-fill workers use it to publish chunk-local counts;
-// only the fields a worker can touch are folded (plane bookkeeping and
-// table counters belong to the coordinating goroutine).
-func (s *DPStats) atomicAdd(o *DPStats) {
-	atomic.AddUint64(&s.CutsEvaluated, o.CutsEvaluated)
-	atomic.AddUint64(&s.CutsSkippedMonotone, o.CutsSkippedMonotone)
-	atomic.AddUint64(&s.CertsRecorded, o.CertsRecorded)
-	atomic.AddUint64(&s.ValCertsRecorded, o.ValCertsRecorded)
-	atomic.AddUint64(&s.BlocksPublished, o.BlocksPublished)
 }
 
 // flush publishes the run's totals into the registry's cumulative
@@ -187,19 +119,13 @@ func (s *DPStats) flush(reg *obs.Registry) {
 	reg.Counter("dp_val_certs_recorded").Add(s.ValCertsRecorded)
 	reg.Counter("dp_hoist_reuses").Add(s.HoistReuses)
 	reg.Counter("dp_cuts_evaluated").Add(s.CutsEvaluated)
-	reg.Counter("dp_cuts_skipped_kmin").Add(s.CutsSkippedKmin)
 	reg.Counter("dp_cuts_skipped_monotone").Add(s.CutsSkippedMonotone)
 	reg.Counter("dp_gmax_memo_hits").Add(s.GmaxMemoHits)
 	reg.Counter("dp_gmax_computed").Add(s.GmaxComputed)
 	reg.Counter("dp_columns_opened").Add(s.ColumnsOpened)
 	reg.Counter("dp_column_entry_fills").Add(s.ColumnEntryFills)
-	reg.Counter("dp_frontier_cells").Add(s.FrontierCells)
-	reg.Counter("dp_planes_filled").Add(s.PlanesFilled)
-	reg.Counter("dp_planes_parallel").Add(s.PlanesParallel)
-	reg.Counter("dp_chunks_dispatched").Add(s.ChunksDispatched)
 	reg.Counter("dp_table_epoch_reuses").Add(s.TableEpochReuses)
 	reg.Counter("dp_table_grows").Add(s.TableGrows)
-	reg.Gauge("dp_plane_cells_max").Observe(s.PlaneCellsMax)
 	reg.Gauge("dp_states_max").Observe(s.StatesEvaluated)
 	reg.Gauge("dp_table_virtual_bytes").Observe(s.TableVirtualBytes)
 	reg.Gauge("dp_table_resident_bytes").Observe(s.TableResidentBytes)
@@ -208,9 +134,6 @@ func (s *DPStats) flush(reg *obs.Registry) {
 		// run actually happened, so dense-only registries stay unchanged.
 		reg.Gauge("dp_blocked_blocks_alloc").Observe(s.TableBlocksResident)
 		reg.Gauge("dp_blocked_resident_bytes").Observe(s.TableResidentBytes)
-	}
-	if s.BlocksPublished > 0 {
-		reg.Counter("dp_blocked_published").Add(s.BlocksPublished)
 	}
 }
 
@@ -226,45 +149,19 @@ func flushPlan(reg *obs.Registry, probes, floorSaved int) {
 	reg.Counter("plan_probes_floor_saved").Add(uint64(floorSaved))
 }
 
-// counterEqual reports whether the deterministic counter fields of two
-// stats agree (plane sample timings are wall-clock and excluded, but
-// sample sizes and chunk counts must match).
-func (s *DPStats) counterEqual(o *DPStats) bool {
-	if s.StatesEvaluated != o.StatesEvaluated ||
-		s.StatesCertPruned != o.StatesCertPruned ||
-		s.StatesValReused != o.StatesValReused ||
-		s.CertsRecorded != o.CertsRecorded ||
-		s.ValCertsRecorded != o.ValCertsRecorded ||
-		s.HoistReuses != o.HoistReuses ||
-		s.CutsEvaluated != o.CutsEvaluated ||
-		s.CutsSkippedKmin != o.CutsSkippedKmin ||
-		s.CutsSkippedMonotone != o.CutsSkippedMonotone ||
-		s.GmaxMemoHits != o.GmaxMemoHits ||
-		s.GmaxComputed != o.GmaxComputed ||
-		s.ColumnsOpened != o.ColumnsOpened ||
-		s.ColumnEntryFills != o.ColumnEntryFills ||
-		s.FrontierCells != o.FrontierCells ||
-		s.PlanesFilled != o.PlanesFilled ||
-		s.PlaneCellsMax != o.PlaneCellsMax {
-		return false
-	}
-	if len(s.PlaneSamples) != len(o.PlaneSamples) {
-		return false
-	}
-	for i := range s.PlaneSamples {
-		if s.PlaneSamples[i].Level != o.PlaneSamples[i].Level ||
-			s.PlaneSamples[i].Cells != o.PlaneSamples[i].Cells {
-			return false
-		}
-	}
-	return true
+var phaseCtx = context.Background()
+
+// labelPhase runs f under a pprof label so CPU profiles attribute
+// planner time to phases by name (madpipe-phase=probe). Goroutines
+// started inside f inherit the label.
+func labelPhase(name string, f func()) {
+	pprof.Do(phaseCtx, pprof.Labels("madpipe-phase", name), func(context.Context) { f() })
 }
 
 // phaseTimed runs f under the planner-phase pprof label and, when a
-// registry is attached, records the phase's wall-clock duration into it.
-// This is the single source of truth for phase attribution: CPU-profile
-// tags (go tool pprof -tags) and the obs registry's phase table come
-// from the same call.
+// registry is attached, records the phase's wall-clock duration into it,
+// so CPU-profile tags (go tool pprof -tags) and the registry's phase
+// table come from the same call.
 func phaseTimed(reg *obs.Registry, name string, f func()) {
 	if reg == nil {
 		labelPhase(name, f)

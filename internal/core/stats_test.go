@@ -10,76 +10,16 @@ import (
 	"madpipe/internal/obs"
 )
 
-// TestWavefrontCountingExact is the counting-exactness contract of the
-// parallel wavefront: every deterministic DPStats counter must be
-// bit-identical between a single-goroutine reference fill (the pool
-// bypassed entirely) and pooled fills at several worker counts, with the
-// parallel threshold forced to 1 so even tiny planes go through the
-// chunk-local accumulate-and-fold path. Run under -race (scripts/verify.sh
-// does) this also proves the folding is data-race free. Fresh tables per
-// run keep the cross-probe gmax memo cold so hit/miss splits are
-// reproducible.
-func TestWavefrontCountingExact(t *testing.T) {
-	orig := waveParThreshold
-	defer func() { waveParThreshold = orig }()
-
-	rng := rand.New(rand.NewSource(23))
-	disc := Discretization{TP: 4, MP: 4, V: 8}
-	for trial := 0; trial < 8; trial++ {
-		c := chain.Random(rng, 6+rng.Intn(8), chain.DefaultRandomOptions())
-		pl := plat(3+rng.Intn(3), 3e9+rng.Float64()*8e9, 12e9)
-		that := c.TotalU() / float64(pl.Workers)
-
-		// Reference: wavefront path with every plane evaluated inline.
-		waveParThreshold = 1 << 30
-		ref, err := runDPWith(new(dpTable), c, pl, that, dpConfig{
-			disc: disc, workers: 2, obs: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatalf("trial %d reference: %v", trial, err)
-		}
-		if ref.Stats.PlanesParallel != 0 {
-			t.Fatalf("trial %d: reference run used the pool", trial)
-		}
-
-		// Every plane through the pool, at several worker counts.
-		waveParThreshold = 1
-		for _, workers := range []int{2, 3, 8} {
-			got, err := runDPWith(new(dpTable), c, pl, that, dpConfig{
-				disc: disc, workers: workers, obs: obs.NewRegistry(),
-			})
-			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
-			}
-			if got.Period != ref.Period || got.States != ref.States {
-				t.Fatalf("trial %d workers %d: result diverged: (%g, %d) vs (%g, %d)",
-					trial, workers, got.Period, got.States, ref.Period, ref.States)
-			}
-			if !got.Stats.counterEqual(&ref.Stats) {
-				t.Fatalf("trial %d workers %d: counters diverged:\npooled: %+v\ninline: %+v",
-					trial, workers, got.Stats, ref.Stats)
-			}
-			if got.Stats.PlanesParallel != got.Stats.PlanesFilled {
-				t.Fatalf("trial %d workers %d: threshold 1 left %d of %d planes inline",
-					trial, workers, got.Stats.PlanesFilled-got.Stats.PlanesParallel, got.Stats.PlanesFilled)
-			}
-			if got.Stats.ChunksDispatched == 0 && got.Stats.PlanesParallel > 0 {
-				t.Fatalf("trial %d workers %d: parallel planes but no chunks", trial, workers)
-			}
-		}
-	}
-}
-
 // TestStatsCollectionPopulated sanity-checks that an observed run
 // actually fills the decomposition: states are tabulated, cuts are
-// visited, the frontier marks cells and the registry's cumulative
-// counters receive the flush.
+// visited, columns are opened and the registry's cumulative counters
+// receive the flush.
 func TestStatsCollectionPopulated(t *testing.T) {
 	c := chain.Uniform(12, 1e-3, 2e-3, 1e6, 1e6)
 	pl := plat(4, 1e12, 1e12)
 	reg := obs.NewRegistry()
 	res, err := runDPWith(new(dpTable), c, pl, c.TotalU()/4, dpConfig{
-		disc: Discretization{TP: 3, MP: 3, V: 5}, workers: 2, obs: reg,
+		disc: Discretization{TP: 3, MP: 3, V: 5}, obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +28,8 @@ func TestStatsCollectionPopulated(t *testing.T) {
 	if st.StatesEvaluated == 0 || st.StatesEvaluated != uint64(res.States) {
 		t.Errorf("StatesEvaluated = %d, res.States = %d", st.StatesEvaluated, res.States)
 	}
-	if st.CutsEvaluated == 0 || st.FrontierCells == 0 || st.PlanesFilled == 0 ||
-		st.ColumnsOpened == 0 || st.GmaxComputed == 0 {
+	if st.CutsEvaluated == 0 || st.ColumnsOpened == 0 || st.GmaxComputed == 0 {
 		t.Errorf("decomposition has empty components: %+v", st)
-	}
-	if len(st.PlaneSamples) != int(st.PlanesFilled) {
-		t.Errorf("%d plane samples for %d planes", len(st.PlaneSamples), st.PlanesFilled)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["dp_runs"] != 1 {
@@ -161,7 +97,7 @@ func TestEvalTimelinePopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fan, _ := probeFan(8)
+	fan := probeFan(8)
 	for i, ev := range res.Evals {
 		if ev.DurNS <= 0 {
 			t.Errorf("probe %d: no duration recorded", i)
@@ -260,20 +196,13 @@ func TestPhaseTimedRecords(t *testing.T) {
 	}
 }
 
-// TestDPStatsAddAndAtomicAdd pins the fold semantics: add sums counters
-// and maxes the plane high-water; atomicAdd folds exactly the chunk-local
-// fields workers may touch.
-func TestDPStatsAddAndAtomicAdd(t *testing.T) {
-	a := DPStats{StatesEvaluated: 5, PlaneCellsMax: 9, CutsEvaluated: 3}
-	b := DPStats{StatesEvaluated: 7, PlaneCellsMax: 4, CutsEvaluated: 2}
+// TestDPStatsAdd pins the fold semantics: add sums counters and maxes
+// the table high-water marks.
+func TestDPStatsAdd(t *testing.T) {
+	a := DPStats{StatesEvaluated: 5, TableResidentBytes: 9, CutsEvaluated: 3}
+	b := DPStats{StatesEvaluated: 7, TableResidentBytes: 4, CutsEvaluated: 2}
 	a.add(&b)
-	if a.StatesEvaluated != 12 || a.PlaneCellsMax != 9 || a.CutsEvaluated != 5 {
+	if a.StatesEvaluated != 12 || a.TableResidentBytes != 9 || a.CutsEvaluated != 5 {
 		t.Errorf("add: %+v", a)
-	}
-	var dst DPStats
-	local := DPStats{CutsEvaluated: 11, CutsSkippedMonotone: 7, CertsRecorded: 2}
-	dst.atomicAdd(&local)
-	if dst.CutsEvaluated != 11 || dst.CutsSkippedMonotone != 7 || dst.CertsRecorded != 2 {
-		t.Errorf("atomicAdd: %+v", dst)
 	}
 }

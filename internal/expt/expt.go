@@ -227,9 +227,11 @@ func (r *Runner) runCell(net string, cc *chain.Chain, cache *core.PlannerCache, 
 	return row
 }
 
-func (r *Runner) runPipeDream(c *chain.Chain, plat platform.Platform) Outcome {
+// runPipeDream plans and schedules one cell with the PipeDream baseline.
+// The result is named so the deferred Elapsed store reaches the caller.
+func (r *Runner) runPipeDream(c *chain.Chain, plat platform.Platform) (out Outcome) {
 	start := time.Now()
-	out := Outcome{Predicted: math.Inf(1), Valid: math.Inf(1)}
+	out = Outcome{Predicted: math.Inf(1), Valid: math.Inf(1)}
 	defer func() { out.Elapsed = time.Since(start) }()
 	res, err := pipedream.Plan(c, plat)
 	if err != nil {
@@ -249,7 +251,10 @@ func (r *Runner) runPipeDream(c *chain.Chain, plat platform.Platform) Outcome {
 	return out
 }
 
-func (r *Runner) runMadPipe(c *chain.Chain, cache *core.PlannerCache, hint *core.Hint, cold bool, plat platform.Platform, contig bool) Outcome {
+// runMadPipe plans and schedules one cell with MadPipe. Like
+// runPipeDream it names its result for the deferred Elapsed store; a
+// dominance-skipped cell returns before the timer starts and reports 0.
+func (r *Runner) runMadPipe(c *chain.Chain, cache *core.PlannerCache, hint *core.Hint, cold bool, plat platform.Platform, contig bool) (out Outcome) {
 	if hint.Dead(contig, plat.Memory) {
 		// A sweep neighbor at a memory limit >= plat.Memory already ran
 		// this exact search to full infeasibility; the search here would
@@ -262,7 +267,7 @@ func (r *Runner) runMadPipe(c *chain.Chain, cache *core.PlannerCache, hint *core
 		return Outcome{Predicted: math.Inf(1), Valid: math.Inf(1)}
 	}
 	start := time.Now()
-	out := Outcome{Predicted: math.Inf(1), Valid: math.Inf(1)}
+	out = Outcome{Predicted: math.Inf(1), Valid: math.Inf(1)}
 	defer func() { out.Elapsed = time.Since(start) }()
 	opts := r.Opts
 	opts.DisableSpecial = contig
@@ -477,9 +482,9 @@ func (r *Runner) Sweep(chains []*chain.Chain, g Grid, onRow func(Row)) ([]Row, e
 // replay and probe totals summed over both modes.
 //
 // A runner that opts into planner-internal parallelism (Opts.Parallel >
-// 1) skips the pre-solve: the frontier needs the sequential reference
-// search, and a hint binds to one probe fan — the cells then plan
-// per-cell exactly as before, sharing only the hint's dominance floors.
+// 1) skips the pre-solve: PlanFrontier plans at probe fan 1, and a hint
+// binds to one probe fan — the cells then plan per-cell exactly as
+// before, sharing only the hint's dominance floors.
 func (r *Runner) rowFrontier(cc *chain.Chain, cache *core.PlannerCache, hint *core.Hint, plat platform.Platform, mems []float64) (breaks, replays, probes int) {
 	if r.Opts.Parallel > 1 {
 		return 0, 0, 0

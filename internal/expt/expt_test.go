@@ -352,6 +352,41 @@ func TestSweepDominance(t *testing.T) {
 	}
 }
 
+// TestOutcomeElapsed: every planned cell reports its wall-clock time,
+// for PipeDream and both MadPipe modes, while a dominance-skipped cell
+// (no planner run at all) reports zero — so the zero outcomes are
+// exactly the sweep_cells_skipped count.
+func TestOutcomeElapsed(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := &Runner{SimPeriods: 12, MaxChain: 10, Parallel: 1, Obs: reg}
+	grid := Grid{Workers: []int{2}, MemoryGB: []float64{0.5, 1, 2, 12}, BandwidthG: []float64{12}}
+	rows, err := r.Sweep(testChains(), grid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var zero uint64
+	for _, row := range rows {
+		if row.PipeDream.Elapsed <= 0 {
+			t.Errorf("net=%s M=%g: PipeDream Elapsed = %v", row.Net, row.MemGB, row.PipeDream.Elapsed)
+		}
+		for _, o := range []Outcome{row.MadPipe, row.MadPipeContig} {
+			if o.Elapsed < 0 {
+				t.Errorf("net=%s M=%g: negative MadPipe Elapsed %v", row.Net, row.MemGB, o.Elapsed)
+			}
+			if o.Elapsed == 0 {
+				zero++
+			}
+		}
+	}
+	skipped := reg.Counter("sweep_cells_skipped").Value()
+	if skipped == 0 {
+		t.Fatal("no cell was dominance-skipped; the grid no longer covers the skip path")
+	}
+	if zero != skipped {
+		t.Errorf("%d MadPipe outcomes report zero Elapsed, %d cells were skipped", zero, skipped)
+	}
+}
+
 // rowsEqual compares everything except wall-clock timings and report
 // pointers (reports carry timings of their own; counter equality has its
 // own tests in internal/core).

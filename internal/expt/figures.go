@@ -171,8 +171,7 @@ func AblationTable(rows []Row) string {
 // CSV renders the raw sweep, one line per configuration. The trailing
 // columns are the MadPipe planner's pruning-rate breakdown (states
 // evaluated fresh, states settled by death certificates, fraction of
-// cut positions skipped by the kmin floor and the monotone break, the
-// fraction of settled states adopted from cross-probe value
+// cut positions skipped by the monotone break, the fraction of settled states adopted from cross-probe value
 // certificates, and the fraction of bisection probes answered without
 // a DP run — dominance floors plus the frontier store) followed by the
 // parametric-frontier economics of the configuration's sweep row
@@ -200,7 +199,7 @@ func CSV(rows []Row) string {
 			st := rep.TotalStats()
 			states = fmt.Sprintf("%d", st.StatesEvaluated)
 			pruned = fmt.Sprintf("%d", st.StatesCertPruned)
-			skipped := st.CutsSkippedKmin + st.CutsSkippedMonotone
+			skipped := st.CutsSkippedMonotone
 			if total := st.CutsEvaluated + skipped; total > 0 {
 				skipPct = fmt.Sprintf("%.2f", 100*float64(skipped)/float64(total))
 			}

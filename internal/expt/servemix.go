@@ -59,10 +59,8 @@ func ServingMix(netName string, n, coldEvery int) ([]serve.PlanRequest, error) {
 // shape cmd/madpipeload sends with -net gpt2 -raw. The 8-worker
 // platform pushes each probe's DP table past the blocked-storage
 // threshold, options.parallel stays unset so the daemon's
-// Config.LargeParallel default decides the worker budget (the
-// blocked-parallel probe fan end to end; per-probe wavefront workers
-// are demoted on these column-free chains, see core's probePlan), and
-// a two-probe iteration budget keeps a request's latency bounded by
+// Config.LargeParallel default decides the worker budget (the probe
+// fan end to end), and a two-probe iteration budget keeps a request's latency bounded by
 // one concurrent round of two raw DP solves — raw probes cost tens of
 // seconds, not the milliseconds of the coarsened mix, so callers
 // should size n accordingly.

@@ -1,8 +1,8 @@
 // Package obs is the planner's observability core: a registry of named
 // monotonic counters, high-water gauges and phase timers, all built on
-// atomics so any number of goroutines — wavefront plane-fill workers,
-// concurrent Algorithm 1 probes, sweep workers — can record into one
-// registry without locks on the hot path.
+// atomics so any number of goroutines — concurrent Algorithm 1 probes,
+// sweep workers, serving workers — can record into one registry without
+// locks on the hot path.
 //
 // # Zero overhead when disabled
 //
@@ -86,10 +86,8 @@ func (g *Gauge) Value() uint64 {
 }
 
 // Phase accumulates wall-clock time and invocation counts for one named
-// planner phase (probe, frontier, plane-fill, reconstruct, ...). It is
-// the single source of truth for phase durations: the same callback that
-// applies the pprof label records into the Phase, so CPU-profile tags
-// and PlanReport phase tables cannot drift apart. A nil Phase is a
+// planner phase (the planner records every Algorithm 1 probe under
+// "probe", the pprof label its probes run under). A nil Phase is a
 // no-op.
 type Phase struct {
 	ns atomic.Int64

@@ -253,6 +253,7 @@ func TestServeChurnBitIdentical(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
+	waitFolds(srv, goroutines*rounds)
 	st := srv.Stats()
 	if st.Memo.Hits == 0 {
 		t.Error("churn saw zero memo hits; mix should repeat cells")
@@ -637,6 +638,21 @@ func TestServeDebugRequests(t *testing.T) {
 	}
 }
 
+// waitFolds waits, for at most five seconds, until srv's flight
+// recorder holds n request spans. Handlers fold a request's span in a
+// deferred call that runs after the response body is written, so a
+// client can read Stats before the fold of its own request lands. The
+// flight record is the fold's last step, so every counter the fold
+// touches is visible once it counts. On timeout the caller's own
+// assertions report what is missing.
+func waitFolds(srv *Server, n uint64) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if fs := srv.Stats().Flight; fs != nil && fs.Total >= n {
+			return
+		}
+	}
+}
+
 // TestServeSLOCounters: a served request lands in ok or violations by
 // duration against the target; shed requests count as errors.
 func TestServeSLOCounters(t *testing.T) {
@@ -648,6 +664,7 @@ func TestServeSLOCounters(t *testing.T) {
 	if resp, body := postJSON(t, hs.URL+"/v1/plan", req); resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
+	waitFolds(srv, 1)
 	if slo := srv.Stats().SLO; slo == nil || slo.Violations != 1 || slo.OK != 0 || slo.Errors != 0 {
 		t.Fatalf("SLO after slow request: %+v, want 1 violation", slo)
 	}
@@ -661,6 +678,7 @@ func TestServeSLOCounters(t *testing.T) {
 	if resp, body := postJSON(t, hs2.URL+"/v1/plan", req); resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
+	waitFolds(srv2, 1)
 	if slo := srv2.Stats().SLO; slo.OK != 1 || slo.Violations != 0 {
 		t.Fatalf("SLO after fast request: %+v, want 1 ok", slo)
 	}
@@ -674,6 +692,7 @@ func TestServeSLOCounters(t *testing.T) {
 	if resp, _ := postJSON(t, hs2.URL+"/v1/plan", req); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain status %d, want 503", resp.StatusCode)
 	}
+	waitFolds(srv2, 2)
 	st := srv2.Stats()
 	if st.SLO.Errors != 1 {
 		t.Errorf("SLO after shed: %+v, want 1 error", st.SLO)

@@ -58,8 +58,9 @@ type Config struct {
 	// LargeParallel, when > 0, overrides Parallel as the default worker
 	// budget for requests whose resolved chain has at least
 	// LargeChainLayers layers — the raw transformer regime where a
-	// sequential blocked-table probe costs double-digit seconds and the
-	// wavefront's near-linear speedup matters most. It is an explicit
+	// blocked-table probe costs double-digit seconds and a concurrent
+	// bracket round closes the search in fewer rounds than the
+	// sequential bisection. It is an explicit
 	// count, never "all cores": the parallel search's probe schedule is
 	// part of the response, so the default must be a deterministic
 	// function of daemon configuration, not of the host. Requests that

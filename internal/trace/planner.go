@@ -10,8 +10,7 @@ import (
 // Planner-phase lanes: the planning *process* rendered next to the
 // planned schedule. The planner is process 2 ("madpipe planner") of the
 // trace — one lane per Algorithm 1 probe slot with each probe as a
-// slice, a counter series per slot plotting wavefront plane sizes over
-// time, and a "bracket" counter tracking the bisection's lb/ub
+// slice, and a "bracket" counter tracking the bisection's lb/ub
 // convergence. Timestamps come from the probe timeline PlanAllocation
 // records when core.Options.Obs is set; without observability the
 // slices degenerate to zero-length markers at t=0 but the trace stays
@@ -23,8 +22,8 @@ const plannerPID = 2
 
 // StampPlanner writes the planner's identity into the trace header so
 // exported files are self-describing: planner version, the resolved
-// Options (parallel mode, probe fan, wavefront workers, grids), and a
-// chain/platform summary.
+// Options (parallel budget, probe fan, grids), and a chain/platform
+// summary.
 func StampPlanner(f *File, rep *core.PlanReport) {
 	if rep == nil {
 		return
@@ -35,8 +34,8 @@ func StampPlanner(f *File, rep *core.PlanReport) {
 	o := rep.Options
 	f.OtherData["planner_version"] = rep.Version
 	f.OtherData["planner_options"] = fmt.Sprintf(
-		"parallel=%d workers=%d probe_fan=%d wave_workers=%d iterations=%d disc=%dx%dx%d disable_special=%t observed=%t",
-		o.Parallel, o.Workers, o.ProbeFan, o.WaveWorkers, o.Iterations,
+		"parallel=%d workers=%d probe_fan=%d iterations=%d disc=%dx%dx%d disable_special=%t observed=%t",
+		o.Parallel, o.Workers, o.ProbeFan, o.Iterations,
 		o.Disc.TP, o.Disc.MP, o.Disc.V, o.DisableSpecial, o.Observed)
 	f.OtherData["chain"] = fmt.Sprintf("layers=%d total_u=%g total_comm=%g",
 		rep.Chain.Layers, rep.Chain.TotalU, rep.Chain.TotalComm)
@@ -99,20 +98,6 @@ func AppendPlanner(f *File, rep *core.PlanReport) {
 			TS:  float64(p.StartNS+p.DurNS) / 1e3,
 			PID: plannerPID, Args: bargs,
 		})
-		// Wavefront plane sizes as a per-slot sawtooth: cells at plane
-		// start, zero at plane end. Sample offsets are relative to the
-		// probe's DP run, which starts at the probe slice's own start.
-		cname := fmt.Sprintf("plane_cells slot %d", p.Slot)
-		for _, ps := range p.Stats.PlaneSamples {
-			start := float64(p.StartNS+ps.StartNS) / 1e3
-			evs = append(evs,
-				Event{Name: cname, Cat: "planner", Ph: "C", TS: start,
-					PID: plannerPID, Args: map[string]any{"cells": ps.Cells}},
-				Event{Name: cname, Cat: "planner", Ph: "C",
-					TS:  start + float64(ps.DurNS)/1e3,
-					PID: plannerPID, Args: map[string]any{"cells": 0}},
-			)
-		}
 	}
 	f.TraceEvents = evs
 	sortEvents(f.TraceEvents)

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 verification gate (ROADMAP.md): build, vet, full test suite,
-# a -race smoke over the concurrent planner, wavefront and sweep paths,
+# a -race smoke over the concurrent planner and sweep paths,
 # a one-iteration benchmark sanity run, and a benchmark-regression check
 # against the committed BENCH_*.json snapshot. Usage: scripts/verify.sh
 set -eu
@@ -50,9 +50,8 @@ fi
 echo "== go test"
 go test ./...
 
-echo "== race smoke (wavefront + concurrent probes + parallel sweep + obs counting + serving churn + blocked table + blocked wavefront identity + long-chain coarsening)"
-go test -race -timeout 20m -run 'TestPlanAllocationParallel|TestDenseMatchesMapDP|TestCertReuseMatchesColdProbes|TestPlanParallelMatchesSequentialWavefront|TestSweepParallelDeterministic|TestSweepDominance|TestWavefrontCountingExact|TestObsOnOffIdenticalPlan|TestConcurrentCountingExact|TestWarmAcrossCellsMatchesCold|TestWarmPlanAndScheduleMatchesCold|TestWarmParallelSearchMatchesCold|TestHintMatchesColdAcrossGrid|TestHintParallelSearchMatchesCold|TestFrontierMatchesColdPerCell|TestFrontierSamplingMatchesPerCell|TestPlanCtxLiveMatchesBackground|TestServeChurnBitIdentical|TestServeQueueFullSheds|TestBlockedTableRoundTrip|TestBlockedWavefrontThreeWayIdentity|TestTransformerLongChainCoarsenPlan' \
-	./internal/core/ ./internal/expt/ ./internal/obs/ ./internal/serve/
+echo "== race smoke (scripts/race_smoke.sh)"
+scripts/race_smoke.sh
 
 # The sweep's warm-shard determinism contract ("bit-identical at any -j")
 # must hold whatever the host gives the scheduler: run the determinism
@@ -179,5 +178,21 @@ kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID" || { echo "daemon exited non-zero after SIGTERM"; cat "$SMOKE_DIR/daemon.log"; exit 1; }
 grep -q "drained cleanly" "$SMOKE_DIR/daemon.log" || { echo "daemon did not drain cleanly"; cat "$SMOKE_DIR/daemon.log"; exit 1; }
 echo "daemon drained cleanly on SIGTERM"
+
+# A SIGTERM sent the moment the address file appears must drain too:
+# the daemon traps its shutdown signals before announcing the address.
+# The poll spins without sleeping so the signal lands as early as a
+# supervisor's would.
+"$SMOKE_DIR/madpiped" -addr 127.0.0.1:0 -addr-file "$SMOKE_DIR/addr-early" >"$SMOKE_DIR/early.log" 2>&1 &
+EARLY_PID=$!
+i=0
+until [ -s "$SMOKE_DIR/addr-early" ]; do
+	i=$((i + 1))
+	[ "$i" -lt 2000000 ] || { echo "early-signal daemon never bound"; cat "$SMOKE_DIR/early.log"; exit 1; }
+done
+kill -TERM "$EARLY_PID"
+wait "$EARLY_PID" || { echo "daemon exited non-zero on a SIGTERM at announce time"; cat "$SMOKE_DIR/early.log"; exit 1; }
+grep -q "drained cleanly" "$SMOKE_DIR/early.log" || { echo "daemon did not drain on a SIGTERM at announce time"; cat "$SMOKE_DIR/early.log"; exit 1; }
+echo "daemon drained cleanly on a SIGTERM at announce time"
 
 echo "verify: OK"

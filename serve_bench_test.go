@@ -132,9 +132,8 @@ func BenchmarkServeLoad64(b *testing.B) { serveLoad(b, 64) }
 // BenchmarkGPTRawServe serves the raw (uncoarsened) GPT-2 mix end to
 // end: 2050-layer op-granularity requests whose probes run on blocked
 // DP tables, with options.parallel unset so the daemon's LargeParallel
-// default lifts them to the concurrent probe fan (per-probe wavefront
-// workers are demoted on column-free chains; see core.probePlan) — the
-// full blocked-parallel serving path. The mix is tiny (raw misses cost
+// default lifts them to the concurrent probe fan — the full
+// blocked-table serving path. The mix is tiny (raw misses cost
 // tens of seconds each, not milliseconds — the name deliberately avoids
 // the BenchmarkServeLoad prefix so `make bench` does not sweep it in)
 // and the split stays exact: 3 misses and 1 hit per op. The run also
@@ -158,7 +157,7 @@ func BenchmarkGPTRawServe(b *testing.B) {
 		reg := obs.NewRegistry()
 		srv := serve.NewServer(serve.Config{
 			Workers:       2,
-			LargeParallel: 4, // probe fan 4; wavefront demoted per probePlan
+			LargeParallel: 4, // probe fan 4
 			Timeout:       10 * time.Minute,
 			Registry:      reg,
 		})
