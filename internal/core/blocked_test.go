@@ -8,19 +8,13 @@ import (
 )
 
 // TestBlockedTableRoundTrip drives the blocked storage directly on a
-// shape far past denseMaxStates: entries and certificates must round-
-// trip through first-touch blocks, untouched blocks must stay
-// unallocated (that is the entire point of the mode), and the shared
-// stamp must keep generations apart across resets.
+// paper-grid shape of over a billion virtual states: entries and
+// certificates must round-trip through first-touch blocks, untouched
+// blocks must stay unallocated (that is the entire point of the layout),
+// and the stamp must keep generations apart across resets.
 func TestBlockedTableRoundTrip(t *testing.T) {
 	tab := new(dpTable)
 	tab.reset(3000, 8, 101, 11, 51)
-	if !tab.blocked {
-		t.Fatalf("shape of %d states did not select blocked storage", tab.size)
-	}
-	if tab.size <= denseMaxStates {
-		t.Fatalf("test shape (%d states) does not exceed denseMaxStates", tab.size)
-	}
 	if tab.nAlloc != 0 {
 		t.Fatalf("fresh table has %d resident blocks", tab.nAlloc)
 	}
@@ -74,28 +68,26 @@ func TestBlockedTableRoundTrip(t *testing.T) {
 		t.Fatalf("certificate lost across same-shape reset")
 	}
 
-	// Switching to a dense shape and back must not resurrect the old
-	// generation's certificates (mode switch bumps certEpoch).
+	// A shape with another per-p stride and back must not resurrect the
+	// old generation's certificates (a stride change bumps certEpoch),
+	// although their blocks stay resident throughout.
 	tab.reset(4, 2, 3, 2, 3)
-	if tab.blocked {
-		t.Fatalf("small shape stayed blocked")
-	}
 	tab.reset(3000, 8, 101, 11, 51)
 	if tab.certDead(idxs[2], 41) {
-		t.Fatalf("certificate resurrected across a storage-mode switch")
+		t.Fatalf("certificate resurrected across a shape change")
+	}
+	if int(tab.nAlloc) != len(idxs) {
+		t.Fatalf("shape changes dropped blocks: nAlloc = %d", tab.nAlloc)
 	}
 }
 
-// TestBlockedMatchesMapDP: a discretization whose packed space exceeds
-// denseMaxStates routes to blocked storage, and the solver must return
-// bit-identical periods, allocations and state counts to the map DP.
+// TestBlockedMatchesMapDP: on the paper-sized special-mode grid (45M
+// virtual states) the solver must return bit-identical periods,
+// allocations and state counts to the map DP.
 func TestBlockedMatchesMapDP(t *testing.T) {
 	c := chain.Uniform(99, 1e-3, 2e-3, 2e7, 4e6)
 	pl := plat(4, 24e9, 12e9)
 	disc := Discretization{TP: 101, MP: 11, V: 101}
-	if tableStates(c.Len(), pl.Workers-1, disc.TP, disc.MP, disc.V) <= denseMaxStates {
-		t.Fatalf("shape fits dense; test would not exercise blocked storage")
-	}
 	that := c.TotalU() / 4
 
 	blocked, err := runDP(c, pl, that, dpConfig{disc: disc})
@@ -129,7 +121,7 @@ func TestBlockedMatchesMapDP(t *testing.T) {
 // historical and structural width boundaries: 255/256 (the old 8-bit
 // packing bug), 1024/1025 (the column cache's colMaxL cliff) and 4096
 // (well past every per-field byte boundary in dpState and colEnt).
-// Dense solver vs map DP, bit-identical.
+// Table solver vs map DP, bit-identical.
 func TestIndexWidthBoundaries(t *testing.T) {
 	lengths := []int{255, 256, 1024, 1025, 4096}
 	for _, L := range lengths {
@@ -138,30 +130,30 @@ func TestIndexWidthBoundaries(t *testing.T) {
 		disc := Discretization{TP: 5, MP: 3, V: 9}
 		that := c.TotalU() / 4
 
-		dense, err := runDP(c, pl, that, dpConfig{disc: disc})
+		got, err := runDP(c, pl, that, dpConfig{disc: disc})
 		if err != nil {
-			t.Fatalf("L=%d: dense: %v", L, err)
+			t.Fatalf("L=%d: table: %v", L, err)
 		}
 		legacy, err := runDPMap(c, pl, that, disc, false, chain.WeightPolicy{})
 		if err != nil {
 			t.Fatalf("L=%d: map: %v", L, err)
 		}
-		if dense.Period != legacy.Period || dense.States != legacy.States {
-			t.Fatalf("L=%d: dense (period %g, %d states) != map (period %g, %d states)",
-				L, dense.Period, dense.States, legacy.Period, legacy.States)
+		if got.Period != legacy.Period || got.States != legacy.States {
+			t.Fatalf("L=%d: table (period %g, %d states) != map (period %g, %d states)",
+				L, got.Period, got.States, legacy.Period, legacy.States)
 		}
-		if dense.Alloc == nil {
+		if got.Alloc == nil {
 			t.Fatalf("L=%d: expected feasible allocation", L)
 		}
-		if err := dense.Alloc.Validate(); err != nil {
+		if err := got.Alloc.Validate(); err != nil {
 			t.Fatalf("L=%d: allocation invalid: %v", L, err)
 		}
-		last := dense.Alloc.Spans[len(dense.Alloc.Spans)-1]
-		if dense.Alloc.Spans[0].From != 1 || last.To != L {
-			t.Fatalf("L=%d: spans do not cover the chain: %v", L, dense.Alloc.Spans)
+		last := got.Alloc.Spans[len(got.Alloc.Spans)-1]
+		if got.Alloc.Spans[0].From != 1 || last.To != L {
+			t.Fatalf("L=%d: spans do not cover the chain: %v", L, got.Alloc.Spans)
 		}
-		for i := range dense.Alloc.Spans {
-			if dense.Alloc.Spans[i] != legacy.Alloc.Spans[i] {
+		for i := range got.Alloc.Spans {
+			if got.Alloc.Spans[i] != legacy.Alloc.Spans[i] {
 				t.Fatalf("L=%d: stage %d differs", L, i)
 			}
 		}
@@ -174,16 +166,12 @@ func TestIndexWidthBoundaries(t *testing.T) {
 // of the 255/256 packing boundary (column cache on) and of the colMaxL
 // cliff (cut scalars recomputed inline), up to raw transformer scale.
 //
-// The test forces blocked storage by lowering denseStateCap instead of
-// inflating the discretization: production-sized blocked grids put the
-// map reference minutes past any reasonable test budget, while blocked
+// The grids are small because production-sized grids put the map
+// reference minutes past any reasonable test budget, while block
 // indexing is identical at any block count. TestBlockedMatchesMapDP
-// keeps a production-threshold case; the tight-memory case here keeps
-// the death-certificate (memory-infeasible cut) paths in the mix.
+// keeps a production-grid case; the tight-memory case here keeps the
+// death-certificate (memory-infeasible cut) paths in the mix.
 func TestBlockedMatchesMapAtWidths(t *testing.T) {
-	defer func(old int) { denseStateCap = old }(denseStateCap)
-	denseStateCap = 1 << 12 // force blocked storage on small shapes
-
 	cases := []struct {
 		L     int
 		disc  Discretization
@@ -205,9 +193,6 @@ func TestBlockedMatchesMapAtWidths(t *testing.T) {
 		pl := plat(4, 1e12, 1e12)
 		if tc.tight {
 			pl = plat(4, float64(tc.L)*2.4e8, 12e9)
-		}
-		if tableStates(c.Len(), pl.Workers-1, tc.disc.TP, tc.disc.MP, tc.disc.V) <= denseStateCap {
-			t.Fatalf("L=%d: shape fits dense; test would not exercise blocked storage", tc.L)
 		}
 		that := c.TotalU() / 4 * 1.1
 

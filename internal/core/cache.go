@@ -21,7 +21,7 @@ import (
 //     per-cell MadPipe/contiguous double-planning to one DP search per
 //     distinct input.
 //
-//   - warm dense tables, keyed by everything a table's certificate
+//   - warm DP tables, keyed by everything a table's certificate
 //     stores depend on EXCEPT the processor count and the memory limit:
 //     a DP state (l, p, t_P, m_P, V) never mentions the total worker
 //     count, and the p-outermost index layout keeps packed indices
@@ -77,7 +77,7 @@ type planKey struct {
 	observed       bool
 }
 
-// tableKey identifies the inputs a dense table's certificate stores are
+// tableKey identifies the inputs a DP table's certificate stores are
 // conditioned on. The processor count is deliberately absent (state
 // semantics are P-independent; see dpTable.idx) and so is the memory
 // limit (guarded dynamically by certArm, so that cells at a new M still

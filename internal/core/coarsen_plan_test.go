@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -320,8 +319,8 @@ func TestPlanCoarsenCacheStability(t *testing.T) {
 // TestTransformerLongChainPlan is the transformer-era acceptance test:
 // a 2050-layer op-granularity GPT-style chain must complete both
 // PlanAllocation and PlanFrontier through the blocked table, with the
-// resident footprint an order of magnitude under the virtual dense
-// table the seed would have allocated.
+// resident footprint an order of magnitude under the virtual table the
+// seed would have allocated.
 func TestTransformerLongChainPlan(t *testing.T) {
 	spec, _ := nets.TransformerPreset("gpt2")
 	spec.Blocks = 256
@@ -332,22 +331,11 @@ func TestTransformerLongChainPlan(t *testing.T) {
 	}
 	pl := plat(8, 2e12, 300e9)
 	disc := Discretization{TP: 21, MP: 5, V: 21}
-	if tableStates(c.Len(), pl.Workers-1, disc.TP, disc.MP, disc.V) <= denseMaxStates {
-		t.Fatalf("shape fits the dense table; test would not exercise blocked storage")
-	}
 	// One probe for the plan and a two-sample frontier on one plateau:
 	// at this depth each DP probe costs seconds (10^6 states times a
 	// 2050-cut scan), so the test pays for exactly two solver runs; the
 	// second frontier sample folds from the first's certificates.
 	opts := Options{Iterations: 1, Disc: disc, Parallel: 1, Obs: obs.NewRegistry()}
-
-	// A pooled table keeps the blocks its earlier leases materialized
-	// and counts them as resident, so a table another test's blocked run
-	// returned to the pool would inflate this plan's footprint. Two
-	// collections empty the pool (sync.Pool keeps one generation of
-	// victims), so the lease below starts from a fresh table.
-	runtime.GC()
-	runtime.GC()
 	res, err := PlanAllocation(c, pl, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -375,10 +363,10 @@ func TestTransformerLongChainPlan(t *testing.T) {
 		}
 	}
 	if blocksRes == 0 {
-		t.Fatalf("no blocked-table residency recorded; blocked mode did not engage")
+		t.Fatalf("no table residency recorded")
 	}
 	if resident*10 > virt {
-		t.Fatalf("resident %d bytes not 10x under the dense table's %d", resident, virt)
+		t.Fatalf("resident %d bytes not 10x under the virtual table's %d", resident, virt)
 	}
 	t.Logf("virtual %d MB, resident %d MB (%.1fx), %d blocks",
 		virt>>20, resident>>20, float64(virt)/float64(resident), blocksRes)

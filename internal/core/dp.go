@@ -12,11 +12,11 @@
 // re-runs it at every binary-search probe and the experiment sweeps
 // re-run Algorithm 1 across dozens of configurations. The implementation
 // therefore evaluates the recurrence with an explicit work stack over a
-// dense preallocated table (see dense.go) instead of recursing through a
+// packed, blocked table (see table.go) instead of recursing through a
 // hash-map memo, and hoists every per-(k,l) invariant — prefix compute
 // times, link busy times, the components of the stage-memory formula —
-// into flat slices built once per dpRun. Chains too long for the dense
-// table fall back to the legacy map-based DP (dp_map.go), which computes
+// into flat slices built once per dpRun. Shapes too large for the table
+// fall back to the legacy map-based DP (dp_map.go), which computes
 // bit-identical results.
 //
 // # Concurrency invariants
@@ -470,7 +470,7 @@ func (r *dpRun) groupsU(v, u float64) int {
 
 // stageMem evaluates the stage memory M(k,l,g) from the hoisted prefix
 // slices, operation-for-operation identical to chain.StageMemoryWith so
-// that the dense DP and the legacy map DP take bit-identical decisions.
+// that the table DP and the legacy map DP take bit-identical decisions.
 func (r *dpRun) stageMem(k, l, g int) float64 {
 	m := (r.wFixed+r.wPerBatch*float64(g))*(r.sumWTo[l]-r.sumWTo[k-1]) + float64(g)*(r.asTo[l]-r.asTo[k-1])
 	if k > 1 {
@@ -613,7 +613,7 @@ func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, int, bool) {
 // solve evaluates T(l, p, t_P, m_P, V) with an explicit work stack: a
 // frame suspends at the branch whose sub-state is not yet tabulated,
 // pushes the child, and resumes — recomputing only the cheap per-k
-// scalars — once the child's entry lands in the dense table. The
+// scalars — once the child's entry lands in the table. The
 // traversal order, pruning and floating-point operations replicate the
 // recursive formulation exactly (see TestDenseMatchesMapDP).
 func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
@@ -924,7 +924,7 @@ type dpConfig struct {
 }
 
 // runDP executes MadPipe-DP for a fixed target period T̂ and reconstructs
-// the allocation, leasing a dense table from the arena for the duration
+// the allocation, leasing a table from the arena for the duration
 // of the call. normals is the number of normal processors (P-1 with the
 // special processor enabled, P for the contiguous ablation).
 func runDP(c *chain.Chain, plat platform.Platform, that float64, cfg dpConfig) (*DPResult, error) {
@@ -984,13 +984,6 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 	}
 	r.init()
 	tab.reset(c.Len()+1, normals+1, nT, nM, disc.V)
-	if st := r.stats; st != nil {
-		if tab.grew {
-			st.TableGrows++
-		} else {
-			st.TableEpochReuses++
-		}
-	}
 	tab.cols.reset(c.Len(), disc.V, gmaxKey{
 		c: c, mem: plat.Memory,
 		weights: chain.WeightPolicy{Fixed: r.wFixed, PerBatch: r.wPerBatch},
@@ -998,16 +991,14 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 	period := r.solve(c.Len(), normals, 0, 0, 0)
 	res := &DPResult{Period: period, States: tab.states}
 	// Table economics are populated even without observability: they are
-	// a deterministic function of the run (no timing, no sampling), cost
-	// a handful of stores, and the serving layer surfaces them in
-	// /v1/stats gauges without handing the planner a registry.
+	// a deterministic function of the run (no timing, no sampling; the
+	// blocks counted are the ones this run wrote, whatever the leased
+	// table held before), cost a handful of stores, and the serving layer
+	// surfaces them in /v1/stats gauges without handing the planner a
+	// registry.
 	res.Stats.TableVirtualBytes = uint64(tab.size) * 64
-	if tab.blocked {
-		res.Stats.TableResidentBytes = uint64(tab.nAlloc) * blockSize * 64
-		res.Stats.TableBlocksResident = uint64(tab.nAlloc)
-	} else {
-		res.Stats.TableResidentBytes = res.Stats.TableVirtualBytes
-	}
+	res.Stats.TableBlocksResident = uint64(tab.runBlocks)
+	res.Stats.TableResidentBytes = uint64(tab.runBlocks) * blockSize * 64
 	if st := r.stats; st != nil {
 		st.StatesEvaluated = uint64(tab.states)
 		st.TableVirtualBytes = res.Stats.TableVirtualBytes

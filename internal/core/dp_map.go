@@ -12,10 +12,10 @@ import (
 // This file keeps the original recursive, map-memoized formulation of
 // MadPipe-DP. It serves two roles:
 //
-//   - fallback for state spaces too large for the dense table (very long
-//     uncoarsened chains), where a hash map only pays for reachable
-//     states;
-//   - executable reference: TestDenseMatchesMapDP asserts that the dense
+//   - fallback for shapes the table cannot represent (chains past
+//     tableMaxL layers or state spaces past tableMaxStates), where a hash
+//     map only pays for reachable states;
+//   - executable reference: TestDenseMatchesMapDP asserts that the table
 //     explicit-stack solver returns bit-identical periods, allocations
 //     and state counts on randomized chains.
 
@@ -75,7 +75,7 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 		// only when the branch can still win: the candidate is
 		// max(u, cLeft, sub) and the incumbent only improves on a strict
 		// decrease, so cLeft >= best (u < best is the monotone check
-		// above) decides the comparison without descending. The dense
+		// above) decides the comparison without descending. The table
 		// solver applies the identical skip, keeping traversals aligned.
 		if r.stageMem(k, l, g) <= r.mem && cLeft < best.period {
 			sub := r.solveRec(k-1, p-1, itP, imP, iVN)

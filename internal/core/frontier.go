@@ -333,17 +333,6 @@ func sameOutcome(a, b *PhaseOneResult) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	if a.PredictedPeriod != b.PredictedPeriod || a.TargetPeriod != b.TargetPeriod {
-		return false
-	}
-	x, y := a.Alloc, b.Alloc
-	if len(x.Spans) != len(y.Spans) {
-		return false
-	}
-	for i := range x.Spans {
-		if x.Spans[i] != y.Spans[i] || x.Procs[i] != y.Procs[i] {
-			return false
-		}
-	}
-	return true
+	return a.PredictedPeriod == b.PredictedPeriod && a.TargetPeriod == b.TargetPeriod &&
+		allocSame(a.Alloc, b.Alloc)
 }

@@ -42,8 +42,8 @@ type Bracket struct {
 //     upper bound never moves on infeasible folds, so every midpoint is
 //     covered by a floor by induction — and the search fails the same
 //     way. Dead reports this, letting a sweep skip dominated-infeasible
-//     cells without running the planner at all. This lifts the dense
-//     table's per-probe memory-death certificates (dense.go, certArm) to
+//     cells without running the planner at all. This lifts the DP
+//     table's per-probe memory-death certificates (table.go, certArm) to
 //     whole-cell scope.
 //
 // The floors depend on the probe trajectory, which is a function of

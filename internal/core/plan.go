@@ -74,7 +74,7 @@ type Options struct {
 	Obs *obs.Registry
 	// Cache, when set, carries planner state across PlanAllocation calls:
 	// a result memo (identical inputs return the recorded result without
-	// re-running Algorithm 1) and warm dense tables whose death and value
+	// re-running Algorithm 1) and warm DP tables whose death and value
 	// certificates survive between calls that share a chain,
 	// communication terms, discretization, special mode and weight
 	// policy. Planner outputs are bit-identical with or without a cache;

@@ -225,56 +225,74 @@ func TestValueReuseFires(t *testing.T) {
 	}
 }
 
-// TestTableTrimPolicy: a pooled table whose backing arrays exceed
+// TestTableTrimPolicy: a pooled table whose materialized blocks exceed
 // tableTrimFactor times the decayed high-water demand must drop them
-// (and count the trim); a proportionate table must keep them, and an
-// alternating big/small lease pattern — PlanAndSchedule's
-// special/contiguous rhythm — must never trim.
+// (and count the trim); a table holding only its own lease's blocks must
+// keep them, and an alternating big/small lease pattern —
+// PlanAndSchedule's special/contiguous rhythm — must never trim.
 func TestTableTrimPolicy(t *testing.T) {
 	reg := obs.NewRegistry()
+	// fill materializes every block of the table's current shape.
+	fill := func(tab *dpTable) {
+		for idx := 0; idx < tab.size; idx += blockSize {
+			tab.put(idx, dpEntry{})
+		}
+	}
+	bigShape := func(tab *dpTable) { tab.reset(16, 4, 16, 4, 16) } // 64 blocks
+	smallShape := func(tab *dpTable) { tab.reset(2, 1, 4, 2, 4) }  // 64 states
 
 	// Sustained shrink: a run of small releases halves the high-water
-	// mark each time until the big capacity crosses the threshold.
+	// mark each time until the big shape's blocks cross the threshold.
 	big := &dpTable{}
-	big.reset(12, 6, 32, 8, 32)
+	bigShape(big)
+	fill(big)
 	trimOnRelease(big, reg) // hwm = big size
-	for i := 0; i < 12 && big.slots != nil; i++ {
-		big.reset(2, 1, 4, 2, 4)
-		if cap(big.slots) <= tableTrimFactor*big.size {
-			t.Fatalf("test setup: capacity %d not beyond the trim threshold for size %d", cap(big.slots), big.size)
-		}
+	for i := 0; i < 12 && big.nAlloc > 0; i++ {
+		smallShape(big)
+		fill(big)
 		trimOnRelease(big, reg)
 	}
-	if big.slots != nil {
-		t.Fatalf("oversized backing array survived a sustained run of small releases")
+	if big.nAlloc != 0 || big.blocks != nil {
+		t.Fatalf("%d blocks survived a sustained run of small releases", big.nAlloc)
 	}
 	if got := reg.Counter("dp_table_trims").Value(); got != 1 {
 		t.Fatalf("dp_table_trims = %d, want 1", got)
 	}
 
 	// Alternating big/small keeps the mark pinned at the big size, so
-	// the arrays survive: trimming here would reallocate hundreds of
+	// the blocks survive: trimming here would reallocate hundreds of
 	// megabytes per PlanAndSchedule call.
 	alt := &dpTable{}
-	alt.reset(12, 6, 32, 8, 32)
-	keepBig := cap(alt.slots)
+	bigShape(alt)
+	fill(alt)
+	keepBig := alt.nAlloc
 	trimOnRelease(alt, reg)
 	for i := 0; i < 8; i++ {
-		alt.reset(2, 1, 4, 2, 4)
+		smallShape(alt)
+		fill(alt)
 		trimOnRelease(alt, reg)
-		alt.reset(12, 6, 32, 8, 32)
+		bigShape(alt)
+		fill(alt)
 		trimOnRelease(alt, reg)
 	}
-	if alt.slots == nil || cap(alt.slots) != keepBig {
-		t.Fatalf("alternating big/small lease pattern trimmed the table")
+	if alt.nAlloc != keepBig {
+		t.Fatalf("alternating big/small lease pattern trimmed the table: %d of %d blocks", alt.nAlloc, keepBig)
 	}
 
-	small := &dpTable{}
-	small.reset(6, 3, 8, 4, 8)
-	keep := cap(small.slots)
-	trimOnRelease(small, reg)
-	if small.slots == nil || cap(small.slots) != keep {
-		t.Fatalf("proportionate table was trimmed")
+	// A table holding only its own lease's blocks keeps them, down to a
+	// lease smaller than one block.
+	for _, shape := range []func(*dpTable){
+		func(tab *dpTable) { tab.reset(6, 3, 8, 4, 8) },
+		smallShape,
+	} {
+		own := &dpTable{}
+		shape(own)
+		fill(own)
+		keep := own.nAlloc
+		trimOnRelease(own, reg)
+		if own.nAlloc != keep {
+			t.Fatalf("proportionate table of %d states was trimmed", own.size)
+		}
 	}
 	if reg.Gauge("dp_table_pool_bytes").Value() == 0 {
 		t.Fatalf("dp_table_pool_bytes gauge not observed")

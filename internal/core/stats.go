@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"runtime/pprof"
-	"time"
 
 	"madpipe/internal/obs"
 )
@@ -24,7 +23,7 @@ import (
 //     memory-death certificate without being expanded.
 type DPStats struct {
 	// StatesEvaluated is the number of states this run evaluated fresh
-	// (the dense table's store count). States settled from a certificate
+	// (the table's store count). States settled from a certificate
 	// — death or value — are excluded, so warm probes report only the
 	// work they actually did; adopted states are counted separately in
 	// StatesCertPruned and StatesValReused.
@@ -60,17 +59,12 @@ type DPStats struct {
 	// directory opens and lazy per-delay entry fills.
 	ColumnsOpened    uint64 `json:"columns_opened"`
 	ColumnEntryFills uint64 `json:"column_entry_fills"`
-	// TableEpochReuses / TableGrows record whether the pooled dense
-	// table served this run by bumping its epoch stamp or had to grow
-	// its backing array.
-	TableEpochReuses uint64 `json:"table_epoch_reuses"`
-	TableGrows       uint64 `json:"table_grows"`
 	// TableVirtualBytes is the packed index space of this run's shape in
-	// state bytes; TableResidentBytes is what was actually backed by
-	// memory at the end of the run — equal on the dense path, and the
-	// materialized blocks only under blocked storage (dense.go), where
-	// TableBlocksResident counts them. Resident figures fold as
-	// high-water marks under add().
+	// state bytes. TableBlocksResident counts the table blocks this run
+	// wrote (table.go) and TableResidentBytes is their size, 64 KB each:
+	// the run's own footprint, not the blocks earlier leases left
+	// resident in a pooled table, so both are a function of the run
+	// alone. Resident figures fold as high-water marks under add().
 	TableVirtualBytes   uint64 `json:"table_virtual_bytes,omitempty"`
 	TableResidentBytes  uint64 `json:"table_resident_bytes,omitempty"`
 	TableBlocksResident uint64 `json:"table_blocks_resident,omitempty"`
@@ -91,8 +85,6 @@ func (s *DPStats) add(o *DPStats) {
 	s.GmaxComputed += o.GmaxComputed
 	s.ColumnsOpened += o.ColumnsOpened
 	s.ColumnEntryFills += o.ColumnEntryFills
-	s.TableEpochReuses += o.TableEpochReuses
-	s.TableGrows += o.TableGrows
 	if o.TableVirtualBytes > s.TableVirtualBytes {
 		s.TableVirtualBytes = o.TableVirtualBytes
 	}
@@ -124,17 +116,13 @@ func (s *DPStats) flush(reg *obs.Registry) {
 	reg.Counter("dp_gmax_computed").Add(s.GmaxComputed)
 	reg.Counter("dp_columns_opened").Add(s.ColumnsOpened)
 	reg.Counter("dp_column_entry_fills").Add(s.ColumnEntryFills)
-	reg.Counter("dp_table_epoch_reuses").Add(s.TableEpochReuses)
-	reg.Counter("dp_table_grows").Add(s.TableGrows)
 	reg.Gauge("dp_states_max").Observe(s.StatesEvaluated)
 	reg.Gauge("dp_table_virtual_bytes").Observe(s.TableVirtualBytes)
 	reg.Gauge("dp_table_resident_bytes").Observe(s.TableResidentBytes)
-	if s.TableBlocksResident > 0 {
-		// Blocked-table economics: gauge names appear only when a blocked
-		// run actually happened, so dense-only registries stay unchanged.
-		reg.Gauge("dp_blocked_blocks_alloc").Observe(s.TableBlocksResident)
-		reg.Gauge("dp_blocked_resident_bytes").Observe(s.TableResidentBytes)
-	}
+	// Every table run writes at least one block, so every probe records
+	// the dp_blocked_* gauges (perfbench reads them by these names).
+	reg.Gauge("dp_blocked_blocks_alloc").Observe(s.TableBlocksResident)
+	reg.Gauge("dp_blocked_resident_bytes").Observe(s.TableResidentBytes)
 }
 
 // flushPlan publishes one Algorithm 1 search's probe economics into the
@@ -156,18 +144,4 @@ var phaseCtx = context.Background()
 // started inside f inherit the label.
 func labelPhase(name string, f func()) {
 	pprof.Do(phaseCtx, pprof.Labels("madpipe-phase", name), func(context.Context) { f() })
-}
-
-// phaseTimed runs f under the planner-phase pprof label and, when a
-// registry is attached, records the phase's wall-clock duration into it,
-// so CPU-profile tags (go tool pprof -tags) and the registry's phase
-// table come from the same call.
-func phaseTimed(reg *obs.Registry, name string, f func()) {
-	if reg == nil {
-		labelPhase(name, f)
-		return
-	}
-	start := time.Now()
-	labelPhase(name, f)
-	reg.Phase(name).Add(time.Since(start))
 }

@@ -180,22 +180,6 @@ func TestPlanReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPhaseTimedRecords checks that the shared pprof-label/phase-timer
-// helper feeds the registry (and stays a plain label wrapper when the
-// registry is nil).
-func TestPhaseTimedRecords(t *testing.T) {
-	reg := obs.NewRegistry()
-	ran := 0
-	phaseTimed(reg, "unit", func() { ran++ })
-	phaseTimed(nil, "unit", func() { ran++ })
-	if ran != 2 {
-		t.Fatalf("f ran %d times, want 2", ran)
-	}
-	if got := reg.Phase("unit").Count(); got != 1 {
-		t.Errorf("phase count = %d, want 1 (nil registry must not record)", got)
-	}
-}
-
 // TestDPStatsAdd pins the fold semantics: add sums counters and maxes
 // the table high-water marks.
 func TestDPStatsAdd(t *testing.T) {

@@ -7,54 +7,39 @@ import (
 	"madpipe/internal/obs"
 )
 
-// The dense DP table replaces the hash-map memo of the original
-// implementation: one flat preallocated array indexed by the packed state
-// (l, p, t_P index, m_P index, V index). Presence is tracked with an
-// epoch stamp folded into the per-state metadata word, so re-probing the
-// same planner at a new target period T̂ only bumps the stamp instead of
-// clearing or reallocating hundreds of megabytes. Tables are recycled
-// through a sync.Pool so a full Algorithm 1 run — and a whole sweep —
-// performs O(1) table allocations.
+// The DP table replaces the hash-map memo of the original
+// implementation: one packed index space over the states (l, p, t_P
+// index, m_P index, V index), carved into fixed-size blocks that are
+// allocated on first write. The lazy solver touches a shape-dependent
+// fraction of that space, so reachability pruning — kmin floors,
+// monotone breaks, death certificates — translates directly into bytes
+// never allocated: a 2000-layer op-granularity profile under the paper's
+// special-mode grids is a multi-GB virtual plane of which the solver
+// touches a few percent. Presence is tracked with an epoch stamp folded
+// into the per-state metadata word, so re-probing the same planner at a
+// new target period T̂ only bumps the stamp instead of clearing memory.
+// Tables are recycled through a sync.Pool so a full Algorithm 1 run —
+// and a whole sweep — reuses its blocks.
 
-// denseMaxStates bounds the upfront dense allocation (states, not
-// bytes; each state costs 64 bytes — one cache line holding the DP slot
-// and both certificate records, see dpState). Shapes beyond the cap
-// switch the same table to blocked storage (see blockBits): the packed
-// index space stays virtual and 256 KB blocks materialize on first
-// touch, so reachability pruning — kmin floors, monotone breaks, death
-// certificates — translates directly into bytes never allocated.
-// Transformer-era chains land here: a 2000-layer op-granularity profile
-// under the paper's special-mode grids is a multi-GB virtual plane of
-// which the lazy solver touches a few percent.
-const denseMaxStates = 1 << 25
-
-// denseStateCap is the dense/blocked routing threshold actually
-// consulted. It equals denseMaxStates in production; identity tests
-// lower it (with a deferred restore) to force blocked storage onto
-// small, fast shapes, so blocked indexing is exercised at long chain
-// lengths without 2^25-state tables.
-var denseStateCap = denseMaxStates
-
-// Blocked-storage geometry: 1024 states per block = 64 KB. The l-
-// innermost index layout means one reachable (p, t_P, m_P, V) combo
-// touches a contiguous l-span, so the block size bounds how much dead
-// space a short span strands: 1024 states stays well under a long
-// chain's per-combo column (nL runs in the thousands) while still
-// amortizing the per-access indirection (one extra load and nil check)
-// across hundreds of resident states.
+// Block geometry: 1024 states per block = 64 KB. The l-innermost index
+// layout means one reachable (p, t_P, m_P, V) combo touches a contiguous
+// l-span, so the block size bounds how much dead space a short span
+// strands: 1024 states stays well under a long chain's per-combo column
+// (nL runs in the thousands) while still amortizing the per-access
+// indirection (one extra load and nil check) across hundreds of resident
+// states.
 const (
 	blockBits = 10
 	blockSize = 1 << blockBits
 	blockMask = blockSize - 1
 )
 
-// blockedMaxStates bounds the blocked table's virtual state space. The
-// cost of an untouched region is one pointer per block, so the ceiling
-// is set by the block directory (8 bytes per 4096 states: 16 MB at the
-// cap), not by state bytes. Shapes beyond it — or chains beyond
-// denseMaxL, whose k no longer fits the meta word — fall back to the
-// legacy map-based DP.
-const blockedMaxStates = 1 << 33
+// tableMaxStates bounds the table's virtual state space. The cost of an
+// untouched region is its directory entry (a block pointer and a write
+// stamp: 10 bytes per 1024 states, 80 MB at the cap), not state bytes.
+// Shapes beyond it — or chains beyond tableMaxL, whose k no longer fits
+// the meta word — fall back to the legacy map-based DP.
+const tableMaxStates = 1 << 33
 
 // metaStampShift packs the epoch stamp in the high 16 bits of the meta
 // word; the low bits hold the reconstruction decision: (k+1) in bits
@@ -67,17 +52,17 @@ const (
 	metaSpecialBit = 1 << 1
 )
 
-// denseMaxL is the largest chain length representable in the meta word's
+// tableMaxL is the largest chain length representable in the meta word's
 // k field (k+1 must fit in 14 bits).
-const denseMaxL = metaKMask - 1
+const tableMaxL = metaKMask - 1
 
-// dpState is one dense-table state, padded to exactly one cache line so
-// every lookup a cut performs — current value, death certificate, value
-// certificate — lands on a single 64-byte load (large slice allocations
-// are page-aligned, so the padding guarantees line alignment too). The
-// DP's inner loop touches millions of child states per probe; before the
-// records were colocated those touches cost up to four separate array
-// loads and dominated the whole planner's profile.
+// dpState is one table state, padded to exactly one cache line so every
+// lookup a cut performs — current value, death certificate, value
+// certificate — lands on a single 64-byte load (blocks are 64 KB
+// allocations, which are page-aligned, so the padding guarantees line
+// alignment too). The DP's inner loop touches millions of child states
+// per probe; before the records were colocated those touches cost up to
+// four separate array loads and dominated the whole planner's profile.
 //
 // Fields:
 //   - period/meta: the current DP value and the packed stamp/decision
@@ -109,26 +94,21 @@ type dpState struct {
 }
 
 type dpTable struct {
-	slots  []dpState
 	stamp  uint32
-	states int  // fresh entries evaluated under the current stamp
-	grew   bool // last reset reallocated the slot array (vs epoch reuse)
+	states int // fresh entries evaluated under the current stamp
 
-	// Blocked storage (shapes past denseMaxStates): the packed index
-	// space is covered by fixed-size blocks allocated on first write.
 	// blocks[idx>>blockBits] is nil until some state in the block is
 	// stored or certified; nAlloc counts resident blocks. Allocated
 	// blocks persist across the probes of a lease — they carry the
-	// cross-probe certificates exactly as the dense array does — and
-	// across resets of the same shape, and are dropped by the trim
-	// policy on release like oversized dense arrays. The stamp and both
-	// certificate epochs are shared with dense mode, so a pooled table
-	// alternating modes (PlanAndSchedule's special/contiguous pattern)
-	// can never read a stale entry from the other storage: the stamp is
-	// monotone across resets and a mode switch bumps certEpoch.
-	blocked bool
-	blocks  []*[blockSize]dpState
-	nAlloc  int
+	// cross-probe certificates — and across resets, until the trim policy
+	// drops them on release. wrote[b] is the stamp of the last run that
+	// wrote into block b, and runBlocks counts the blocks the current run
+	// wrote: a run's reported footprint, independent of what earlier
+	// leases left resident.
+	blocks    []*[blockSize]dpState
+	wrote     []uint16
+	nAlloc    int
+	runBlocks int
 
 	nL, nP, nT, nM, nV int
 	size               int
@@ -137,7 +117,7 @@ type dpTable struct {
 	// releaseTable's trim policy (see tableTrimFactor). It persists
 	// across pool round-trips so alternating big/small leases — the
 	// PlanAndSchedule special/contiguous pattern — never thrash the
-	// backing arrays.
+	// blocks.
 	trimHWM int
 
 	// Cross-probe infeasibility certificates (Algorithm 1 only; see
@@ -161,7 +141,7 @@ type dpTable struct {
 	// certMax is the largest target period recorded by any death
 	// certificate this lease — a probe at that > certMax cannot match
 	// any, so the hot path skips the per-state load entirely. Both
-	// certificate records live inside the dpState slots themselves.
+	// certificate records live inside the dpState records themselves.
 	certMax float64
 
 	cols  colCache
@@ -173,82 +153,50 @@ func tableStates(l, normals, nT, nM, nV int) int {
 	return (l + 1) * (normals + 1) * nT * nM * nV
 }
 
-// tableFits reports whether the table can represent the shape at all
-// (dense or blocked); beyond it the map DP runs.
+// tableFits reports whether the table can represent the shape at all;
+// beyond it the map DP runs.
 func tableFits(l, normals, nT, nM, nV int) bool {
-	return l <= denseMaxL && tableStates(l, normals, nT, nM, nV) <= blockedMaxStates
+	return l <= tableMaxL && tableStates(l, normals, nT, nM, nV) <= tableMaxStates
 }
 
-// reset prepares the table for one DP run over the given shape, reusing
-// the backing arrays whenever they are large enough. Certificate and
-// value-record arrays are preserved across resets (copy on grow,
-// reslice on shrink): with the p-outermost index layout their contents
-// stay addressable when only nP changes, which is what lets sweep cells
-// at a different worker count inherit a warm table.
+// reset prepares the table for one DP run over the given shape, keeping
+// every resident block. Certificates survive resets: with the
+// p-outermost index layout their contents stay addressable when only nP
+// changes, which is what lets sweep cells at a different worker count
+// inherit a warm table.
 func (t *dpTable) reset(nL, nP, nT, nM, nV int) {
-	size := nL * nP * nT * nM * nV
-	blocked := size > denseStateCap
-	if nL != t.nL || nT != t.nT || nM != t.nM || nV != t.nV || blocked != t.blocked {
+	if nL != t.nL || nT != t.nT || nM != t.nM || nV != t.nV {
 		// The per-p stride changed: every packed index changes meaning,
 		// so no certificate recorded under the old layout may be read
 		// under the new one. (nP is deliberately absent from the stride —
-		// see idx — so worker-count changes do NOT invalidate.) A storage
-		// mode switch invalidates too: the records live in the other
-		// array and must not be resurrected on a later switch back.
+		// see idx — so worker-count changes do NOT invalidate.)
 		t.certEpoch++
 	}
 	t.nL, t.nP, t.nT, t.nM, t.nV = nL, nP, nT, nM, nV
-	t.size = size
+	t.size = nL * nP * nT * nM * nV
 	t.states = 0
-	if blocked {
-		t.blocked = true
-		t.grew = false
-		nB := (size + blockSize - 1) >> blockBits
-		if cap(t.blocks) < nB {
-			// Grow the block directory, keeping resident blocks (and the
-			// certificates they carry) alive; fresh entries are nil.
-			old := t.blocks
-			t.blocks = make([]*[blockSize]dpState, nB)
-			copy(t.blocks, old[:cap(old)])
-			t.grew = true
-		} else {
-			// A shrink keeps tail blocks live in capacity, mirroring the
-			// dense array's shrink-then-grow round-trip. nAlloc counts
-			// them still — they are resident either way.
-			t.blocks = t.blocks[:nB]
-		}
-	} else {
-		t.blocked = false
-		if cap(t.slots) < t.size {
-			// A reallocating grow copies the full old capacity so the
-			// certificate fields survive losslessly: reslicing keeps tail
-			// data live in capacity, so a shrink-then-grow sequence (sweep
-			// cells at varying worker counts) round-trips every record.
-			// Fresh elements are zero, which never aliases a valid record
-			// (epochs start at 1) nor a present slot (the stamp advances
-			// below, and stale copied stamps are all older).
-			old := t.slots
-			t.slots = make([]dpState, t.size)
-			copy(t.slots, old[:cap(old)])
-			t.grew = true
-		} else {
-			t.grew = false
-			t.slots = t.slots[:t.size]
-		}
+	t.runBlocks = 0
+	nB := (t.size + blockSize - 1) >> blockBits
+	if cap(t.blocks) < nB {
+		// Grow the directory over its full old capacity: a shrink only
+		// reslices, so tail blocks stay live and a shrink-then-grow
+		// round-trip (sweep cells at varying worker counts) keeps every
+		// record. Fresh entries hold no block and a zero write stamp,
+		// which no run's stamp equals.
+		blocks := make([]*[blockSize]dpState, nB)
+		copy(blocks, t.blocks[:cap(t.blocks)])
+		wrote := make([]uint16, nB)
+		copy(wrote, t.wrote[:cap(t.wrote)])
+		t.blocks, t.wrote = blocks, wrote
 	}
+	t.blocks, t.wrote = t.blocks[:nB], t.wrote[:nB]
 	t.stamp++
 	if t.stamp >= 1<<metaStampShift {
-		// Stamp space exhausted: clear the decision words and restart.
-		// The clear must cover the full dense capacity and every resident
-		// block — the stamp is shared across both storages and a pooled
-		// table may alternate modes, so stale stamps in either array
-		// would alias the restarted generation. Certificate fields are
-		// untouched: their validity is tracked by epochs, not stamps.
-		// Amortized to nothing (once every 65534 probes per table).
-		s := t.slots[:cap(t.slots)]
-		for i := range s {
-			s[i].meta = 0
-		}
+		// Stamp space exhausted: clear the decision words of every
+		// resident block, in the directory's full capacity, and the write
+		// stamps, then restart. Certificate fields are untouched: their
+		// validity is tracked by epochs, not stamps. Amortized to nothing
+		// (once every 65535 probes per table).
 		for _, b := range t.blocks[:cap(t.blocks)] {
 			if b == nil {
 				continue
@@ -257,6 +205,7 @@ func (t *dpTable) reset(nL, nP, nT, nM, nV int) {
 				b[i].meta = 0
 			}
 		}
+		clear(t.wrote[:cap(t.wrote)])
 		t.stamp = 1
 	}
 }
@@ -392,23 +341,20 @@ func (t *dpTable) valPutDead(idx int, that float64) {
 // fixed grids — does not involve the total worker count, so indices stay
 // stable across nP and death/value certificates recorded in one sweep
 // cell can be adopted by cells with a different P (the p-range they
-// share is exactly the array prefix). The innermost l serves locality:
+// share is exactly the index prefix). The innermost l serves locality:
 // a state's cut loop looks up children at l' = k-1 with the same itP and
 // imP (normal branch), so the whole child range of one state spans at
-// most nV*nL consecutive slots — a few cache lines instead of one DRAM
+// most nV*nL consecutive states — a few cache lines instead of one DRAM
 // miss per cut under an l-major order.
 func (t *dpTable) idx(l, p, itP, imP, iV int) int {
 	return (((p*t.nT+itP)*t.nM+imP)*t.nV+iV)*t.nL + l
 }
 
-// peek returns the state at idx for reading, or nil in blocked mode
-// when the state's block was never materialized — an untouched block
-// holds neither a present entry nor a live certificate, so every
-// reader treats nil as absent.
+// peek returns the state at idx for reading, or nil when the state's
+// block was never materialized — an untouched block holds neither a
+// present entry nor a live certificate, so every reader treats nil as
+// absent.
 func (t *dpTable) peek(idx int) *dpState {
-	if !t.blocked {
-		return &t.slots[idx]
-	}
 	b := t.blocks[idx>>blockBits]
 	if b == nil {
 		return nil
@@ -417,17 +363,19 @@ func (t *dpTable) peek(idx int) *dpState {
 }
 
 // slot returns the state at idx for writing, materializing its block on
-// first touch in blocked mode.
+// first touch and counting the block in runBlocks on the run's first
+// write to it.
 func (t *dpTable) slot(idx int) *dpState {
-	if !t.blocked {
-		return &t.slots[idx]
-	}
 	bi := idx >> blockBits
 	b := t.blocks[bi]
 	if b == nil {
 		b = new([blockSize]dpState)
 		t.blocks[bi] = b
 		t.nAlloc++
+	}
+	if s := uint16(t.stamp); t.wrote[bi] != s {
+		t.wrote[bi] = s
+		t.runBlocks++
 	}
 	return &b[idx&blockMask]
 }
@@ -475,39 +423,38 @@ func (t *dpTable) putAdopted(idx int, e dpEntry) {
 	s.meta = m
 }
 
-// tableTrimFactor bounds a pooled table's retained capacity: when the
-// backing arrays exceed this multiple of the table's recent demand,
-// they are dropped so a sweep that once planned a huge configuration
-// does not pin peak memory for its remaining lifetime. Demand is a
-// geometrically decayed high-water mark rather than the returning
-// lease's own size: PlanAndSchedule alternates a full special-mode
-// table with a contiguous-mode table whose t_P and m_P axes collapse to
-// one cell (~1000x smaller), and trimming on each small release would
-// free and reallocate hundreds of megabytes per planner call. With the
-// decay, an alternating big/small pattern keeps the mark at the big
-// size, while a few consecutive small releases let it halve past the
-// trim threshold.
+// tableTrimFactor bounds a pooled table's retained blocks: when they
+// exceed this multiple of the table's recent demand, they are dropped so
+// a sweep that once planned a huge configuration does not pin peak
+// memory for its remaining lifetime. Demand is a geometrically decayed
+// high-water mark rather than the returning lease's own size:
+// PlanAndSchedule alternates a full special-mode table with a
+// contiguous-mode table whose t_P and m_P axes collapse to one cell
+// (~1000x smaller), and trimming on each small release would free and
+// reallocate hundreds of megabytes per planner call. With the decay, an
+// alternating big/small pattern keeps the mark at the big size, while a
+// few consecutive small releases let it halve past the trim threshold.
 const tableTrimFactor = 4
 
 var tablePool = sync.Pool{New: func() any { return new(dpTable) }}
 
-// acquireTable leases a dense table from the arena; pair with
-// releaseTable. Each table serves exactly one planner invocation at a
-// time (see the package comment for the concurrency invariants).
-// Certificates start disarmed on every lease.
+// acquireTable leases a table from the arena; pair with releaseTable.
+// Each table serves exactly one planner invocation at a time (see the
+// package comment for the concurrency invariants). Certificates start
+// disarmed on every lease.
 func acquireTable() *dpTable {
 	t := tablePool.Get().(*dpTable)
 	t.certOn = false
-	t.certMax = 0 // certDead short-circuits on this before any array load
+	t.certMax = 0 // certDead short-circuits on this before any block load
 	return t
 }
 
-// releaseTable returns a table to the arena, trimming backing arrays
-// that have grown past tableTrimFactor× the table's decayed high-water
-// demand and recording the retained footprint. The gauge tracks the
-// high-water bytes of a single released table rather than a global pool
-// sum: sync.Pool drops tables on GC without notice, so a global
-// accumulator would only drift upward.
+// releaseTable returns a table to the arena, trimming blocks past
+// tableTrimFactor× the table's decayed high-water demand and recording
+// the retained footprint. The gauge tracks the high-water bytes of a
+// single released table rather than a global pool sum: sync.Pool drops
+// tables on GC without notice, so a global accumulator would only drift
+// upward.
 func releaseTable(t *dpTable, reg *obs.Registry) {
 	trimOnRelease(t, reg)
 	tablePool.Put(t)
@@ -517,48 +464,33 @@ func releaseTable(t *dpTable, reg *obs.Registry) {
 // touching the pool, so tests can drive the policy on a private table
 // (putting one table into the pool twice would alias concurrent leases).
 func trimOnRelease(t *dpTable, reg *obs.Registry) {
-	// Demand is resident states, not virtual ones: a blocked lease's
-	// footprint is its materialized blocks, so a sparse traversal over a
-	// huge virtual plane does not inflate the high-water mark.
-	demand := t.size
-	if t.blocked {
-		demand = t.nAlloc * blockSize
-	}
+	// Demand is the leased shape's virtual size in whole blocks, not its
+	// resident blocks: resident blocks include what earlier, larger
+	// shapes left behind, which is exactly what the policy reclaims.
+	// Rounding up to a block keeps a lease smaller than a block from
+	// trimming its own block on every release.
+	demand := len(t.blocks) * blockSize
 	if hw := t.trimHWM / 2; hw > demand {
 		t.trimHWM = hw
 	} else {
 		t.trimHWM = demand
 	}
-	need := t.trimHWM
-	if need > 0 && cap(t.slots) > tableTrimFactor*need {
-		t.slots = nil
+	if t.nAlloc*blockSize > tableTrimFactor*t.trimHWM {
+		t.blocks, t.wrote, t.nAlloc = nil, nil, 0
 		t.hoist = hoistCache{}
 		if reg != nil {
 			reg.Counter("dp_table_trims").Inc()
 		}
-	}
-	if need > 0 && t.nAlloc*blockSize > tableTrimFactor*need {
-		t.blocks = nil
-		t.nAlloc = 0
-		if reg != nil {
-			reg.Counter("dp_table_trims").Inc()
-		}
-	}
-	if t.slots == nil && t.nAlloc == 0 {
-		// Restart the stamp only when no storage survives: resident
-		// entries in either array carry stamps the restarted sequence
-		// would eventually alias.
-		t.stamp = 0
 	}
 	if reg != nil {
 		reg.Gauge("dp_table_pool_bytes").Observe(uint64(t.retainedBytes()))
 	}
 }
 
-// retainedBytes sums the capacity the table's backing arrays hold onto
-// while pooled (element sizes by layout: dpState 64, colEnt 32).
+// retainedBytes sums the capacity the table holds onto while pooled
+// (element sizes by layout: dpState 64, colEnt 32).
 func (t *dpTable) retainedBytes() int {
-	b := cap(t.slots)*64 + t.nAlloc*blockSize*64 + cap(t.blocks)*8
+	b := t.nAlloc*blockSize*64 + cap(t.blocks)*8 + cap(t.wrote)*2
 	cc := &t.cols
 	b += cap(cc.dir)*8 + cap(cc.ent)*32 + cap(cc.gmax)*4 +
 		cap(cc.gmaxSeen)*4 + cap(cc.gmaxCached)*4

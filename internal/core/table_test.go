@@ -10,7 +10,7 @@ import (
 )
 
 // TestDenseMatchesMapDP is the equivalence property between the
-// dense-table explicit-stack solver and the legacy map-based recursive
+// table-backed explicit-stack solver and the legacy map-based recursive
 // DP: bit-identical periods, state counts and allocations on randomized
 // chains. Bit-identical — not almost-equal — because both formulations
 // are required to perform the same floating-point operations in the
@@ -25,9 +25,9 @@ func TestDenseMatchesMapDP(t *testing.T) {
 		disc := Discretization{TP: 11 + rng.Intn(30), MP: 3 + rng.Intn(8), V: 11 + rng.Intn(30)}
 		disableSpecial := rng.Intn(4) == 0
 
-		dense, err := runDP(c, pl, that, dpConfig{disc: disc, disableSpecial: disableSpecial})
+		got, err := runDP(c, pl, that, dpConfig{disc: disc, disableSpecial: disableSpecial})
 		if err != nil {
-			t.Logf("seed %d: dense: %v", seed, err)
+			t.Logf("seed %d: table: %v", seed, err)
 			return false
 		}
 		legacy, err := runDPMap(c, pl, that, disc, disableSpecial, chain.WeightPolicy{})
@@ -35,26 +35,26 @@ func TestDenseMatchesMapDP(t *testing.T) {
 			t.Logf("seed %d: map: %v", seed, err)
 			return false
 		}
-		if dense.Period != legacy.Period || dense.States != legacy.States {
-			t.Logf("seed %d: dense (period %v, %d states) != map (period %v, %d states)",
-				seed, dense.Period, dense.States, legacy.Period, legacy.States)
+		if got.Period != legacy.Period || got.States != legacy.States {
+			t.Logf("seed %d: table (period %v, %d states) != map (period %v, %d states)",
+				seed, got.Period, got.States, legacy.Period, legacy.States)
 			return false
 		}
-		if (dense.Alloc == nil) != (legacy.Alloc == nil) {
+		if (got.Alloc == nil) != (legacy.Alloc == nil) {
 			t.Logf("seed %d: feasibility mismatch", seed)
 			return false
 		}
-		if dense.Alloc == nil {
+		if got.Alloc == nil {
 			return true
 		}
-		if len(dense.Alloc.Spans) != len(legacy.Alloc.Spans) {
-			t.Logf("seed %d: stage count %d != %d", seed, len(dense.Alloc.Spans), len(legacy.Alloc.Spans))
+		if len(got.Alloc.Spans) != len(legacy.Alloc.Spans) {
+			t.Logf("seed %d: stage count %d != %d", seed, len(got.Alloc.Spans), len(legacy.Alloc.Spans))
 			return false
 		}
-		for i := range dense.Alloc.Spans {
-			if dense.Alloc.Spans[i] != legacy.Alloc.Spans[i] || dense.Alloc.Procs[i] != legacy.Alloc.Procs[i] {
+		for i := range got.Alloc.Spans {
+			if got.Alloc.Spans[i] != legacy.Alloc.Spans[i] || got.Alloc.Procs[i] != legacy.Alloc.Procs[i] {
 				t.Logf("seed %d: stage %d differs: %v@%d vs %v@%d", seed, i,
-					dense.Alloc.Spans[i], dense.Alloc.Procs[i], legacy.Alloc.Spans[i], legacy.Alloc.Procs[i])
+					got.Alloc.Spans[i], got.Alloc.Procs[i], legacy.Alloc.Spans[i], legacy.Alloc.Procs[i])
 				return false
 			}
 		}
@@ -75,22 +75,22 @@ func TestLongChainNoAliasing(t *testing.T) {
 	disc := Discretization{TP: 5, MP: 3, V: 9}
 	that := c.TotalU() / 4
 
-	dense, err := runDP(c, pl, that, dpConfig{disc: disc})
+	got, err := runDP(c, pl, that, dpConfig{disc: disc})
 	if err != nil {
-		t.Fatalf("dense: %v", err)
+		t.Fatalf("table: %v", err)
 	}
 	legacy, err := runDPMap(c, pl, that, disc, false, chain.WeightPolicy{})
 	if err != nil {
 		t.Fatalf("map: %v", err)
 	}
-	if dense.Period != legacy.Period || dense.States != legacy.States {
-		t.Fatalf("dense (period %g, %d states) != map (period %g, %d states)",
-			dense.Period, dense.States, legacy.Period, legacy.States)
+	if got.Period != legacy.Period || got.States != legacy.States {
+		t.Fatalf("table (period %g, %d states) != map (period %g, %d states)",
+			got.Period, got.States, legacy.Period, legacy.States)
 	}
-	if dense.Alloc == nil {
+	if got.Alloc == nil {
 		t.Fatalf("expected feasible allocation with ample memory")
 	}
-	if err := dense.Alloc.Validate(); err != nil {
+	if err := got.Alloc.Validate(); err != nil {
 		t.Fatalf("allocation invalid: %v", err)
 	}
 }
@@ -167,11 +167,44 @@ func TestDenseTableStampReuse(t *testing.T) {
 	}
 }
 
+// TestTableStatsPerRun: a run's table stats count the blocks that run
+// wrote, so a pooled table that first planned a longer chain — and still
+// holds that chain's blocks — reports the same footprint for a run as a
+// fresh table does.
+func TestTableStatsPerRun(t *testing.T) {
+	short := chain.Uniform(60, 1e-3, 2e-3, 1e6, 1e6)
+	long := chain.Uniform(400, 1e-3, 2e-3, 1e6, 1e6)
+	pl := plat(4, 1e12, 1e12)
+	cfg := dpConfig{disc: Discretization{TP: 5, MP: 3, V: 9}}
+	run := func(tab *dpTable, c *chain.Chain) DPStats {
+		t.Helper()
+		res, err := runDPWith(tab, c, pl, c.TotalU()/4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+	want := run(new(dpTable), short)
+	if want.TableBlocksResident == 0 || want.TableResidentBytes != want.TableBlocksResident*blockSize*64 {
+		t.Fatalf("fresh run: %d blocks, %d resident bytes", want.TableBlocksResident, want.TableResidentBytes)
+	}
+	used := new(dpTable)
+	run(used, long)
+	got := run(used, short)
+	if got.TableBlocksResident != want.TableBlocksResident || got.TableResidentBytes != want.TableResidentBytes {
+		t.Fatalf("after a longer chain: %d blocks, %d bytes; fresh table: %d blocks, %d bytes",
+			got.TableBlocksResident, got.TableResidentBytes, want.TableBlocksResident, want.TableResidentBytes)
+	}
+	if used.nAlloc <= int(got.TableBlocksResident) {
+		t.Fatalf("test setup: the used table holds %d blocks, no more than the run wrote", used.nAlloc)
+	}
+}
+
 // TestDenseFallback: shapes the DP table cannot represent must route to the
 // map DP and still produce the same answer as the map DP called
 // directly.
 func TestDenseFallback(t *testing.T) {
-	if tableFits(denseMaxL+1, 1, 1, 1, 2) {
+	if tableFits(tableMaxL+1, 1, 1, 1, 2) {
 		t.Fatalf("tableFits accepted an over-long chain")
 	}
 	// A big discretization on a long chain exceeds even blocked storage.
@@ -191,7 +224,7 @@ func TestDenseFallback(t *testing.T) {
 		t.Fatalf("runDPMap: %v", err)
 	}
 	if a.Period != b.Period || a.States != b.States {
-		t.Fatalf("dense path (period %g) disagrees with map path (period %g)", a.Period, b.Period)
+		t.Fatalf("table path (period %g) disagrees with map path (period %g)", a.Period, b.Period)
 	}
 }
 

@@ -410,16 +410,13 @@ func (r *Runner) Sweep(chains []*chain.Chain, g Grid, onRow func(Row)) ([]Row, e
 	shard := func(k int) {
 		cache := core.NewPlannerCache()
 		// Size-dominant row order: run this shard's rows in descending
-		// worker count, so the first lease on every table key allocates
-		// the warm table at its maximal shape and each later lease is a
-		// reslice. The packed state index keeps p outermost precisely so
-		// smaller-P rows address the same prefix (certificates included);
-		// visiting P ascending instead regrows the table at every step,
-		// and each regrow zeroes the larger array and copies the full old
-		// capacity — on the paper grid that is gigabytes of memmove,
-		// profiled at roughly half the sweep's planner time. Execution
-		// order cannot change results (the warm-vs-cold equivalence tests
-		// pin this); grid-order emission is the done-gate's job.
+		// worker count, so the first lease on every table key sizes the
+		// warm table's block directory at its maximal shape and each
+		// later lease reslices it. The packed state index keeps p
+		// outermost precisely so smaller-P rows address the same prefix
+		// (certificates included). Execution order cannot change results
+		// (the warm-vs-cold equivalence tests pin this); grid-order
+		// emission is the done-gate's job.
 		mine := make([]int, 0, (rowCount-k+w-1)/w)
 		for rowIdx := k; rowIdx < rowCount; rowIdx += w {
 			mine = append(mine, rowIdx)

@@ -7,6 +7,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Common unit helpers. All sizes in the repository are expressed in bytes
@@ -37,17 +38,19 @@ type Platform struct {
 	Latency float64
 }
 
-// Validate reports whether the platform description is usable.
+// Validate reports whether the platform description is usable. Every
+// comparison is false for NaN, so each check is written to fail on it,
+// and +Inf is rejected explicitly.
 func (p Platform) Validate() error {
 	switch {
 	case p.Workers < 1:
 		return fmt.Errorf("platform: Workers must be >= 1, got %d", p.Workers)
-	case p.Memory <= 0:
-		return fmt.Errorf("platform: Memory must be positive, got %g", p.Memory)
-	case p.Bandwidth <= 0:
-		return fmt.Errorf("platform: Bandwidth must be positive, got %g", p.Bandwidth)
-	case p.Latency < 0:
-		return fmt.Errorf("platform: Latency must be non-negative, got %g", p.Latency)
+	case !(p.Memory > 0) || math.IsInf(p.Memory, 1):
+		return fmt.Errorf("platform: Memory must be positive and finite, got %g", p.Memory)
+	case !(p.Bandwidth > 0) || math.IsInf(p.Bandwidth, 1):
+		return fmt.Errorf("platform: Bandwidth must be positive and finite, got %g", p.Bandwidth)
+	case !(p.Latency >= 0) || math.IsInf(p.Latency, 1):
+		return fmt.Errorf("platform: Latency must be non-negative and finite, got %g", p.Latency)
 	}
 	return nil
 }

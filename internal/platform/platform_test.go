@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -10,16 +11,33 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid platform rejected: %v", err)
 	}
-	cases := []Platform{
-		{Workers: 0, Memory: GB, Bandwidth: GB},
-		{Workers: -1, Memory: GB, Bandwidth: GB},
-		{Workers: 2, Memory: 0, Bandwidth: GB},
-		{Workers: 2, Memory: -GB, Bandwidth: GB},
-		{Workers: 2, Memory: GB, Bandwidth: 0},
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		p     Platform
+		field string // named in the error
+	}{
+		{Platform{Workers: 0, Memory: GB, Bandwidth: GB}, "Workers"},
+		{Platform{Workers: -1, Memory: GB, Bandwidth: GB}, "Workers"},
+		{Platform{Workers: 2, Memory: 0, Bandwidth: GB}, "Memory"},
+		{Platform{Workers: 2, Memory: -GB, Bandwidth: GB}, "Memory"},
+		{Platform{Workers: 2, Memory: nan, Bandwidth: GB}, "Memory"},
+		{Platform{Workers: 2, Memory: inf, Bandwidth: GB}, "Memory"},
+		{Platform{Workers: 2, Memory: -inf, Bandwidth: GB}, "Memory"},
+		{Platform{Workers: 2, Memory: GB, Bandwidth: 0}, "Bandwidth"},
+		{Platform{Workers: 2, Memory: GB, Bandwidth: nan}, "Bandwidth"},
+		{Platform{Workers: 2, Memory: GB, Bandwidth: inf}, "Bandwidth"},
+		{Platform{Workers: 2, Memory: GB, Bandwidth: -inf}, "Bandwidth"},
+		{Platform{Workers: 2, Memory: GB, Bandwidth: GB, Latency: -1}, "Latency"},
+		{Platform{Workers: 2, Memory: GB, Bandwidth: GB, Latency: nan}, "Latency"},
+		{Platform{Workers: 2, Memory: GB, Bandwidth: GB, Latency: inf}, "Latency"},
+		{Platform{Workers: 2, Memory: GB, Bandwidth: GB, Latency: -inf}, "Latency"},
 	}
-	for i, p := range cases {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: invalid platform %+v accepted", i, p)
+	for i, tc := range cases {
+		err := tc.p.Validate()
+		if err == nil {
+			t.Errorf("case %d: invalid platform %+v accepted", i, tc.p)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("case %d: error %q does not name %s", i, err, tc.field)
 		}
 	}
 }

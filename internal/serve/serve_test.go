@@ -471,6 +471,7 @@ func TestServeBadRequests(t *testing.T) {
 		"negative maxchain": `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"max_chain":-1}}`,
 		"partial disc":      `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"disc_tp":21}}`,
 		"disc out of range": `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"disc_tp":21,"disc_mp":5,"disc_v":1000}}`,
+		"infinite memory":   `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":1e300,"bandwidth_gb":12}}`,
 	} {
 		resp, err := http.Post(hs.URL+"/v1/plan", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -484,6 +485,9 @@ func TestServeBadRequests(t *testing.T) {
 		var er ErrorResponse
 		if err := json.Unmarshal(rb, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: body is not an ErrorResponse: %s", name, rb)
+		}
+		if name == "infinite memory" && !strings.Contains(er.Error, "Memory") {
+			t.Errorf("%s: error %q does not name Memory", name, er.Error)
 		}
 	}
 	resp, _ := postJSON(t, hs.URL+"/v1/frontier", FrontierRequest{Chain: testChain(8, 1),

@@ -762,14 +762,15 @@ func (j *frontierJob) run(ctx context.Context, s *Server, i int) answer {
 	return ans
 }
 
-// observeTableEconomics surfaces the planner's blocked-table residency
-// in the daemon's own registry after a plan completes: the
+// observeTableEconomics surfaces the planner's table residency in the
+// daemon's own registry after a plan completes: the
 // dp_blocked_blocks_alloc / dp_blocked_resident_bytes high-water gauges
-// in /v1/stats. The planner itself never sees the registry (responses
-// stay a pure function of the request); the probe stats the report
-// already serializes carry the numbers, so the daemon reads them off
-// the finished result. Dense-table probes record no blocks and leave
-// the gauges untouched.
+// in /v1/stats, from the blocks the plan's largest probe wrote. The
+// planner itself never sees the registry (responses stay a pure
+// function of the request); the probe stats the report already
+// serializes carry the numbers, so the daemon reads them off the
+// finished result. Every table probe records blocks; only plans whose
+// probes all ran on the map fallback leave the gauges untouched.
 func (s *Server) observeTableEconomics(p1 *core.PhaseOneResult) {
 	if s.reg == nil || p1 == nil {
 		return

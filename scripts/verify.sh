@@ -102,9 +102,8 @@ go run ./cmd/benchdiff -bench 'BenchmarkGPTCoarsen$' -benchtime 1x -write=false 
 # The raw (uncoarsened) transformer path plans 2050 layers on blocked
 # storage through the 4-way probe fan: states/op pins the search's DP
 # work — a drift is a solver-behavior change and fails the gate
-# outright. blocksalloc/op stays advisory (pooled tables retain
-# resident blocks across leases, so the count depends on process
-# warmth), as does ns/op; the resident/virtual bound is gated by
+# outright. blocksalloc/op stays advisory, as does ns/op; the
+# resident/virtual bound is gated by
 # TestTransformerLongChainPlan. This is the most expensive gate in the
 # file (one concurrent probe round over a 36M-state virtual table,
 # about a minute of wall clock).
