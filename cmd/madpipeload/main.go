@@ -20,9 +20,11 @@
 // /debug/requests.
 //
 // With -smoke it instead runs the deterministic daemon smoke used by
-// scripts/verify.sh: health check, a Fig 6 plan posted twice (second
-// must be a memo hit with a byte-identical body, and both visible in
-// order in /debug/requests), a frontier request, and a /metrics scrape
+// scripts/verify.sh: health check, a Fig 6 plan posted three times (the
+// byte-identical repeat and an indented re-encoding must both be memo
+// hits with the miss's fingerprint and a byte-identical body, all three
+// visible in order in /debug/requests, and /v1/stats must count exactly
+// one body-alias hit), a frontier request, and a /metrics scrape
 // asserting the counter and histogram families — all through Go's HTTP
 // client, no curl needed. -out writes the Fig 6 plan body for
 // field-level comparison against the committed
@@ -227,14 +229,18 @@ func runLevel(base, net string, raw bool, c, n, hot, coldEvery int, coldSeq *ato
 // --- server-side attribution ---
 
 // statsBody is the slice of GET /v1/stats madpipeload consumes: the
-// registry snapshot with its histogram families.
+// registry snapshot with its histogram families, and the body-alias
+// census.
 type statsBody struct {
-	Obs obs.Snapshot `json:"obs"`
+	Obs   obs.Snapshot `json:"obs"`
+	Alias struct {
+		Hits uint64 `json:"hits"`
+	} `json:"alias"`
 }
 
-// scrapeObs fetches the daemon's registry snapshot, or nil when the
-// daemon runs without observability (older daemon, no registry).
-func scrapeObs(base string) *obs.Snapshot {
+// scrapeStats fetches the daemon's /v1/stats, or nil when it cannot be
+// read.
+func scrapeStats(base string) *statsBody {
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		return nil
@@ -244,7 +250,14 @@ func scrapeObs(base string) *obs.Snapshot {
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
 		return nil
 	}
-	if st.Obs.Counters == nil && st.Obs.Hists == nil {
+	return &st
+}
+
+// scrapeObs fetches the daemon's registry snapshot, or nil when the
+// daemon runs without observability (older daemon, no registry).
+func scrapeObs(base string) *obs.Snapshot {
+	st := scrapeStats(base)
+	if st == nil || (st.Obs.Counters == nil && st.Obs.Hists == nil) {
 		return nil
 	}
 	return &st.Obs
@@ -343,64 +356,82 @@ func runSmoke(base, out string) error {
 		return fmt.Errorf("healthz: status %d", resp.StatusCode)
 	}
 
-	status, memo1, body1, err := post(client, base+"/v1/plan", fig6Plan)
-	if err != nil {
-		return fmt.Errorf("plan #1: %w", err)
+	// The byte-identical repeat is served through the body alias, the
+	// indented re-encoding through the fingerprint; both must be hits
+	// carrying the miss's fingerprint and bytes.
+	var reencoded bytes.Buffer
+	if err := json.Indent(&reencoded, []byte(fig6Plan), "", "  "); err != nil {
+		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("plan #1: status %d: %s", status, trim(body1))
+	var body1 []byte
+	var fp1 string
+	for i, req := range []string{fig6Plan, fig6Plan, reencoded.String()} {
+		status, memo, fp, body, err := post(client, base+"/v1/plan", req)
+		if err != nil {
+			return fmt.Errorf("plan #%d: %w", i+1, err)
+		}
+		if status != http.StatusOK {
+			return fmt.Errorf("plan #%d: status %d: %s", i+1, status, trim(body))
+		}
+		if i == 0 {
+			if memo != "miss" {
+				return fmt.Errorf("plan #1: expected memo miss, got %q", memo)
+			}
+			body1, fp1 = body, fp
+			continue
+		}
+		if memo != "hit" {
+			return fmt.Errorf("plan #%d: expected memo hit, got %q", i+1, memo)
+		}
+		if fp == "" || fp != fp1 {
+			return fmt.Errorf("plan #%d: fingerprint %q, want the miss's %q", i+1, fp, fp1)
+		}
+		if !bytes.Equal(body1, body) {
+			return fmt.Errorf("plan #%d: memo hit body differs from miss body (%d vs %d bytes)", i+1, len(body1), len(body))
+		}
 	}
-	if memo1 != "miss" {
-		return fmt.Errorf("plan #1: expected memo miss, got %q", memo1)
-	}
-	status, memo2, body2, err := post(client, base+"/v1/plan", fig6Plan)
-	if err != nil {
-		return fmt.Errorf("plan #2: %w", err)
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("plan #2: status %d: %s", status, trim(body2))
-	}
-	if memo2 != "hit" {
-		return fmt.Errorf("plan #2: expected memo hit, got %q", memo2)
-	}
-	if !bytes.Equal(body1, body2) {
-		return fmt.Errorf("memo hit body differs from miss body (%d vs %d bytes)", len(body1), len(body2))
-	}
-	fmt.Printf("smoke: plan served (%d bytes), memo hit bit-identical\n", len(body1))
+	fmt.Printf("smoke: plan served (%d bytes), byte-identical and re-encoded memo hits bit-identical\n", len(body1))
 	if out != "" {
 		if err := os.WriteFile(out, body1, 0o644); err != nil {
 			return err
 		}
 	}
 
-	// The flight recorder must list both plan requests in completion
-	// order: the miss (with planner time attributed) then the hit.
+	// The flight recorder must list the three plan requests in
+	// completion order: the miss (with planner time attributed) then the
+	// two hits.
 	dbg, err := fetchTail(base, 0)
 	if err != nil {
 		return fmt.Errorf("debug/requests: %w", err)
 	}
-	if len(dbg.Requests) < 2 {
-		return fmt.Errorf("debug/requests: %d records, want the 2 smoke plans", len(dbg.Requests))
+	if len(dbg.Requests) < 3 {
+		return fmt.Errorf("debug/requests: %d records, want the 3 smoke plans", len(dbg.Requests))
 	}
-	miss, hit := dbg.Requests[len(dbg.Requests)-2], dbg.Requests[len(dbg.Requests)-1]
-	if miss.Memo != "miss" || hit.Memo != "hit" {
-		return fmt.Errorf("debug/requests: memo verdicts %q,%q, want miss,hit", miss.Memo, hit.Memo)
-	}
-	if miss.Seq >= hit.Seq {
-		return fmt.Errorf("debug/requests: out of completion order (seq %d then %d)", miss.Seq, hit.Seq)
-	}
-	if miss.Fingerprint == "" || miss.Fingerprint != hit.Fingerprint {
-		return fmt.Errorf("debug/requests: fingerprints %q vs %q, want equal", miss.Fingerprint, hit.Fingerprint)
+	recs := dbg.Requests[len(dbg.Requests)-3:]
+	miss := recs[0]
+	if miss.Memo != "miss" {
+		return fmt.Errorf("debug/requests: first smoke plan memo %q, want miss", miss.Memo)
 	}
 	if miss.Phases[obs.SpanPlan] <= 0 {
 		return fmt.Errorf("debug/requests: miss carries no planner time: %+v", miss.Phases)
 	}
-	if hit.Phases[obs.SpanPlan] != 0 {
-		return fmt.Errorf("debug/requests: memo hit reached the planner: %+v", hit.Phases)
+	for i, hit := range recs[1:] {
+		if hit.Memo != "hit" {
+			return fmt.Errorf("debug/requests: smoke plan #%d memo %q, want hit", i+2, hit.Memo)
+		}
+		if recs[i].Seq >= hit.Seq {
+			return fmt.Errorf("debug/requests: out of completion order (seq %d then %d)", recs[i].Seq, hit.Seq)
+		}
+		if miss.Fingerprint == "" || miss.Fingerprint != hit.Fingerprint {
+			return fmt.Errorf("debug/requests: fingerprints %q vs %q, want equal", miss.Fingerprint, hit.Fingerprint)
+		}
+		if hit.Phases[obs.SpanPlan] != 0 {
+			return fmt.Errorf("debug/requests: memo hit reached the planner: %+v", hit.Phases)
+		}
 	}
-	fmt.Println("smoke: /debug/requests lists miss then hit in order with plan-phase attribution")
+	fmt.Println("smoke: /debug/requests lists miss, hit, hit in order with plan-phase attribution")
 
-	status, _, fbody, err := post(client, base+"/v1/frontier", fig6Frontier)
+	status, _, _, fbody, err := post(client, base+"/v1/frontier", fig6Frontier)
 	if err != nil {
 		return fmt.Errorf("frontier: %w", err)
 	}
@@ -430,32 +461,35 @@ func runSmoke(base, out string) error {
 	fmt.Println("smoke: /metrics exposes plan_memo_*, serve_* and the serve_req/serve_span histogram families")
 
 	// The daemon's own quantile summaries come from the same histograms.
-	snap := scrapeObs(base)
-	if snap == nil {
+	st := scrapeStats(base)
+	if st == nil || (st.Obs.Counters == nil && st.Obs.Hists == nil) {
 		return fmt.Errorf("stats: no obs snapshot in /v1/stats")
 	}
-	h, ok := snap.Hists["serve_req_plan"]
-	if !ok || h.Count < 2 {
-		return fmt.Errorf("stats: serve_req_plan histogram has %d samples, want the 2 smoke plans", h.Count)
+	h, ok := st.Obs.Hists["serve_req_plan"]
+	if !ok || h.Count < 3 {
+		return fmt.Errorf("stats: serve_req_plan histogram has %d samples, want the 3 smoke plans", h.Count)
 	}
 	if q := h.Quantile(0.999); q == 0 {
 		return fmt.Errorf("stats: serve_req_plan p999 is zero with %d samples", h.Count)
 	}
-	fmt.Println("smoke: /v1/stats carries the serve_req_plan histogram with live quantiles")
+	if st.Alias.Hits != 1 {
+		return fmt.Errorf("stats: %d body-alias hits, want 1 (the byte-identical repeat)", st.Alias.Hits)
+	}
+	fmt.Println("smoke: /v1/stats carries the serve_req_plan histogram with live quantiles and one body-alias hit")
 	return nil
 }
 
-func post(client *http.Client, url, body string) (status int, memo string, respBody []byte, err error) {
+func post(client *http.Client, url, body string) (status int, memo, fp string, respBody []byte, err error) {
 	resp, err := client.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
-		return 0, "", nil, err
+		return 0, "", "", nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, "", nil, err
+		return 0, "", "", nil, err
 	}
-	return resp.StatusCode, resp.Header.Get("X-Madpipe-Memo"), b, nil
+	return resp.StatusCode, resp.Header.Get("X-Madpipe-Memo"), resp.Header.Get("X-Madpipe-Fingerprint"), b, nil
 }
 
 func drain(resp *http.Response) {

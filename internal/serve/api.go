@@ -13,7 +13,6 @@ import (
 
 	"madpipe/internal/chain"
 	"madpipe/internal/core"
-	"madpipe/internal/fingerprint"
 	"madpipe/internal/nets"
 	"madpipe/internal/platform"
 )
@@ -124,6 +123,12 @@ func (o OptionsSpec) coreOptions(defaultParallel int) (core.Options, error) {
 		ColdTables:       o.ColdTables,
 		CoarsenGroup:     o.CoarsenGroup,
 		CoarsenTolerance: o.CoarsenTolerance,
+	}
+	if o.Iterations < 0 {
+		return core.Options{}, fmt.Errorf("iterations must be >= 0, got %d", o.Iterations)
+	}
+	if o.Parallel < 0 {
+		return core.Options{}, fmt.Errorf("parallel must be >= 0, got %d", o.Parallel)
 	}
 	if o.CoarsenGroup < 0 {
 		return core.Options{}, fmt.Errorf("coarsen_group must be >= 0, got %d", o.CoarsenGroup)
@@ -238,10 +243,9 @@ type job interface {
 	run(ctx context.Context, s *Server, worker int) answer
 }
 
-// planJob is a fully resolved plan request: fingerprinted, validated,
-// ready for a worker.
+// planJob is a fully resolved plan request: validated, ready for a
+// worker.
 type planJob struct {
-	key      fingerprint.Key
 	c        *chain.Chain // as sent (pre-coarsening)
 	plat     platform.Platform
 	opts     core.Options // MaxChainLength unset; maxChain applied by the worker
@@ -251,7 +255,6 @@ type planJob struct {
 
 // frontierJob is a fully resolved frontier request.
 type frontierJob struct {
-	key      fingerprint.Key
 	c        *chain.Chain
 	plat     platform.Platform
 	opts     core.Options

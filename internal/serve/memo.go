@@ -109,9 +109,31 @@ func NewMemo(cfg MemoConfig, reg *obs.Registry) *Memo {
 
 func (m *Memo) shard(k fingerprint.Key) *memoShard { return m.shards[k.Shard(len(m.shards))] }
 
-// Get returns the cached response for k, refreshing its recency. A
-// TTL-expired entry is removed and reported as a miss.
+// Get returns the cached response for k, refreshing its recency, and
+// counts the lookup as a hit or a miss. A TTL-expired entry is removed
+// and reported as a miss.
 func (m *Memo) Get(k fingerprint.Key, now time.Time) (status int, body []byte, ok bool) {
+	status, body, ok = m.lookup(k, now)
+	m.count(ok)
+	return status, body, ok
+}
+
+// count records one request's memo outcome. The server calls it once
+// per request at the point the outcome is decided, so a request that
+// looks a key up twice (a body alias whose entry was evicted) or waits
+// on a concurrent plan of its key still counts exactly once.
+func (m *Memo) count(hit bool) {
+	if hit {
+		m.hits.Add(1)
+		m.cHits.Inc()
+		return
+	}
+	m.misses.Add(1)
+	m.cMisses.Inc()
+}
+
+// lookup is Get without the hit/miss count.
+func (m *Memo) lookup(k fingerprint.Key, now time.Time) (status int, body []byte, ok bool) {
 	s := m.shard(k)
 	s.mu.Lock()
 	el, found := s.entries[k]
@@ -129,14 +151,7 @@ func (m *Memo) Get(k fingerprint.Key, now time.Time) (status int, body []byte, o
 		}
 	}
 	s.mu.Unlock()
-	if found {
-		m.hits.Add(1)
-		m.cHits.Inc()
-		return status, body, true
-	}
-	m.misses.Add(1)
-	m.cMisses.Inc()
-	return 0, nil, false
+	return status, body, found
 }
 
 // Put caches a response under k, evicting least-recently-used entries

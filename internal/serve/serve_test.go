@@ -261,6 +261,11 @@ func TestServeChurnBitIdentical(t *testing.T) {
 	if st.Memo.Misses == 0 {
 		t.Error("churn saw zero memo misses")
 	}
+	// Each request counts one memo outcome; a single-flight waiter is a
+	// hit, never a miss as well.
+	if st.Memo.Hits+st.Memo.Misses != goroutines*rounds {
+		t.Errorf("memo counted %d hits + %d misses over %d requests", st.Memo.Hits, st.Memo.Misses, goroutines*rounds)
+	}
 	// The registry enables the span plane; every one of the churn's
 	// requests must have been recorded without perturbing a single body.
 	if st.Flight == nil || st.Flight.Total != goroutines*rounds {
@@ -458,9 +463,10 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests: malformed inputs answer 400 with a JSON error.
+// TestServeBadRequests: malformed inputs answer 400 with a JSON error,
+// on a repeat too, and leave no body alias behind.
 func TestServeBadRequests(t *testing.T) {
-	_, hs := newTestServer(t, Config{Workers: 1})
+	srv, hs := newTestServer(t, Config{Workers: 1})
 	for name, body := range map[string]string{
 		"not json":          "{",
 		"unknown field":     `{"nets":{"name":"resnet50"}}`,
@@ -472,28 +478,43 @@ func TestServeBadRequests(t *testing.T) {
 		"partial disc":      `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"disc_tp":21}}`,
 		"disc out of range": `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"disc_tp":21,"disc_mp":5,"disc_v":1000}}`,
 		"infinite memory":   `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":1e300,"bandwidth_gb":12}}`,
+		"negative iters":    `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"iterations":-3}}`,
+		"negative parallel": `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"parallel":-1}}`,
 	} {
-		resp, err := http.Post(hs.URL+"/v1/plan", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, rb)
-		}
-		var er ErrorResponse
-		if err := json.Unmarshal(rb, &er); err != nil || er.Error == "" {
-			t.Errorf("%s: body is not an ErrorResponse: %s", name, rb)
-		}
-		if name == "infinite memory" && !strings.Contains(er.Error, "Memory") {
-			t.Errorf("%s: error %q does not name Memory", name, er.Error)
+		for attempt := 0; attempt < 2; attempt++ {
+			resp, err := http.Post(hs.URL+"/v1/plan", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s #%d: status %d, want 400: %s", name, attempt, resp.StatusCode, rb)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(rb, &er); err != nil || er.Error == "" {
+				t.Errorf("%s #%d: body is not an ErrorResponse: %s", name, attempt, rb)
+			}
+			for field, want := range map[string]string{
+				"infinite memory":   "Memory",
+				"negative iters":    "iterations",
+				"negative parallel": "parallel",
+			} {
+				if name == field && !strings.Contains(er.Error, want) {
+					t.Errorf("%s #%d: error %q does not name %s", name, attempt, er.Error, want)
+				}
+			}
 		}
 	}
-	resp, _ := postJSON(t, hs.URL+"/v1/frontier", FrontierRequest{Chain: testChain(8, 1),
-		Platform: PlatformSpec{Workers: 4, Bandwidth: 1.2e10}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("frontier without ladder: status %d, want 400", resp.StatusCode)
+	for attempt := 0; attempt < 2; attempt++ {
+		resp, _ := postJSON(t, hs.URL+"/v1/frontier", FrontierRequest{Chain: testChain(8, 1),
+			Platform: PlatformSpec{Workers: 4, Bandwidth: 1.2e10}})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("frontier without ladder #%d: status %d, want 400", attempt, resp.StatusCode)
+		}
+	}
+	if st := srv.Stats(); st.Alias.Entries != 0 || st.Alias.Hits != 0 || st.Memo.Hits+st.Memo.Misses != 0 {
+		t.Errorf("bad requests reached the alias index or the memo: alias %+v, memo %+v", st.Alias, st.Memo)
 	}
 }
 

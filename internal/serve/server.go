@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -128,8 +129,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxBodyBytes bounds request decoding (measured chains are a few KB;
-// even a 10k-layer chain is well under this).
+// maxBodyBytes bounds a request body (measured chains are a few KB;
+// even a 10k-layer chain is well under this). The body is read whole
+// before decoding, since its digest keys the alias index, so a longer
+// body is rejected with 400 even when its first JSON value is complete
+// within the bound.
 const maxBodyBytes = 32 << 20
 
 // answer is one finished planning outcome: the status and exact body a
@@ -172,11 +176,12 @@ type flight struct {
 // intern store that makes the planner's pointer-keyed warm caches
 // effective across requests.
 type Server struct {
-	cfg   Config
-	reg   *obs.Registry
-	robs  *requestObs // nil when Registry is nil: observability disabled
-	memo  *Memo
-	queue chan *task
+	cfg     Config
+	reg     *obs.Registry
+	robs    *requestObs // nil when Registry is nil: observability disabled
+	memo    *Memo
+	aliases *aliasIndex
+	queue   chan *task
 
 	workers  sync.WaitGroup
 	inflight sync.WaitGroup
@@ -206,6 +211,7 @@ func NewServer(cfg Config) *Server {
 		cfg:         cfg,
 		reg:         reg,
 		memo:        NewMemo(cfg.Memo, reg),
+		aliases:     newAliasIndex(reg),
 		queue:       make(chan *task, cfg.QueueDepth),
 		intern:      make(map[fingerprint.Key]*chain.Chain),
 		flights:     make(map[fingerprint.Key]*flight),
@@ -309,6 +315,7 @@ func (s *Server) canonicalChain(c *chain.Chain) *chain.Chain {
 // from the same histograms /metrics exposes.
 type ServerStats struct {
 	Memo        MemoStats                 `json:"memo"`
+	Alias       AliasStats                `json:"alias"`
 	Workers     []core.CacheStats         `json:"workers"`
 	CacheResets uint64                    `json:"cache_resets"`
 	Interned    int                       `json:"interned_chains"`
@@ -321,7 +328,7 @@ type ServerStats struct {
 
 // Stats returns the server's current census.
 func (s *Server) Stats() ServerStats {
-	st := ServerStats{Memo: s.memo.Stats(), Draining: s.draining.Load()}
+	st := ServerStats{Memo: s.memo.Stats(), Alias: s.aliases.stats(), Draining: s.draining.Load()}
 	if s.robs != nil {
 		st.Latency = s.robs.latency()
 		st.SLO = s.robs.slo()
@@ -402,40 +409,70 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	sp := s.robs.start("/v1/plan")
-	defer s.robs.finish(sp)
-	t0 := sp.Clock()
-	var req PlanRequest
-	if !s.admit(w, r, &req, sp, t0) {
-		return
-	}
-	defer s.inflight.Done()
-	c, plat, opts, fail := s.resolve(req.Chain, req.Net, req.Platform, req.Options)
-	if fail != nil {
-		sp.Since(obs.SpanAdmit, t0)
-		s.writeError(w, http.StatusBadRequest, fail, sp)
-		return
-	}
-	key := fingerprint.PlanKey(c, plat, withMaxChain(opts, req.Options.MaxChain), req.Schedule, s.cfg.Quantum)
-	job := &planJob{key: key, c: c, plat: plat, opts: opts, maxChain: req.Options.MaxChain, schedule: req.Schedule}
-	sp.Since(obs.SpanAdmit, t0)
-	s.serveJob(w, r, key, job, sp)
+	s.handle(w, r, "/v1/plan", s.keyPlan)
 }
 
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
-	sp := s.robs.start("/v1/frontier")
+	s.handle(w, r, "/v1/frontier", s.keyFrontier)
+}
+
+// handle is the request path both planning endpoints share. After
+// admission, a body this server has already keyed goes straight to the
+// memo through its alias; every other request (and an alias whose memo
+// entry is gone) is decoded, resolved and fingerprinted by keyJob, whose
+// error is the request's 400, and then served by serveJob.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string, keyJob func(body []byte) (fingerprint.Key, job, error)) {
+	sp := s.robs.start(endpoint)
 	defer s.robs.finish(sp)
 	t0 := sp.Clock()
-	var req FrontierRequest
-	if !s.admit(w, r, &req, sp, t0) {
+	body, digest, ok := s.admit(w, r, endpoint, sp, t0)
+	if !ok {
 		return
 	}
 	defer s.inflight.Done()
+	if key, ok := s.aliases.get(digest); ok {
+		sp.Since(obs.SpanAdmit, t0)
+		if s.serveMemo(w, key, sp) {
+			s.aliases.hit()
+			return
+		}
+		// Evicted or expired: the full path re-derives the same key and
+		// counts this request's one memo miss.
+		t0 = sp.Clock()
+	}
+	key, j, err := keyJob(body)
+	sp.Since(obs.SpanAdmit, t0)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err, sp)
+		return
+	}
+	s.aliases.put(digest, key)
+	s.serveJob(w, r, key, j, sp)
+}
+
+// keyPlan decodes, resolves and fingerprints a /v1/plan body.
+func (s *Server) keyPlan(body []byte) (fingerprint.Key, job, error) {
+	var req PlanRequest
+	if err := decodeRequest(body, &req); err != nil {
+		return fingerprint.Key{}, nil, err
+	}
+	c, plat, opts, err := s.resolve(req.Chain, req.Net, req.Platform, req.Options)
+	if err != nil {
+		return fingerprint.Key{}, nil, err
+	}
+	key := fingerprint.PlanKey(c, plat, withMaxChain(opts, req.Options.MaxChain), req.Schedule, s.cfg.Quantum)
+	return key, &planJob{c: c, plat: plat, opts: opts, maxChain: req.Options.MaxChain, schedule: req.Schedule}, nil
+}
+
+// keyFrontier decodes, resolves and fingerprints a /v1/frontier body.
+func (s *Server) keyFrontier(body []byte) (fingerprint.Key, job, error) {
+	var req FrontierRequest
+	if err := decodeRequest(body, &req); err != nil {
+		return fingerprint.Key{}, nil, err
+	}
 	mems := req.mems()
 	if len(mems) == 0 {
-		sp.Since(obs.SpanAdmit, t0)
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("frontier request needs a non-empty memory ladder (mems or mems_gb)"), sp)
-		return
+		return fingerprint.Key{}, nil, fmt.Errorf("frontier request needs a non-empty memory ladder (mems or mems_gb)")
 	}
 	// The ladder replaces the platform's own memory limit (PlanFrontier
 	// ignores it; FrontierKey excludes it), so requests may omit it —
@@ -444,16 +481,23 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	if req.Platform.Memory == 0 && req.Platform.MemoryGB == 0 {
 		req.Platform.Memory = maxOf(mems)
 	}
-	c, plat, opts, fail := s.resolve(req.Chain, req.Net, req.Platform, req.Options)
-	if fail != nil {
-		sp.Since(obs.SpanAdmit, t0)
-		s.writeError(w, http.StatusBadRequest, fail, sp)
-		return
+	c, plat, opts, err := s.resolve(req.Chain, req.Net, req.Platform, req.Options)
+	if err != nil {
+		return fingerprint.Key{}, nil, err
 	}
 	key := fingerprint.FrontierKey(c, plat, mems, withMaxChain(opts, req.Options.MaxChain), s.cfg.Quantum)
-	job := &frontierJob{key: key, c: c, plat: plat, opts: opts, maxChain: req.Options.MaxChain, mems: mems}
-	sp.Since(obs.SpanAdmit, t0)
-	s.serveJob(w, r, key, job, sp)
+	return key, &frontierJob{c: c, plat: plat, opts: opts, maxChain: req.Options.MaxChain, mems: mems}, nil
+}
+
+// decodeRequest decodes the first JSON value of body into req, refusing
+// unknown fields.
+func decodeRequest(body []byte, req any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	return nil
 }
 
 func maxOf(vs []float64) float64 {
@@ -475,32 +519,39 @@ func withMaxChain(opts core.Options, maxChain int) core.Options {
 	return opts
 }
 
-// admit runs the shared request gate: method, drain state, body decode,
-// inflight accounting. On a false return the response is written; on
-// true the caller owns one inflight slot and must Done it. t0 is the
-// caller's admit-phase origin (sp.Clock() at handler entry) so rejected
-// requests still attribute their gate time; the caller stamps the
-// successful path itself after resolve.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any, sp *obs.Span, t0 time.Time) bool {
+// admit runs the shared request gate: method, drain state, body read
+// and digest, inflight accounting. On a false return the response is
+// written; on true the caller owns one inflight slot and must Done it.
+// t0 is the caller's admit-phase origin (sp.Clock() at handler entry)
+// so rejected requests still attribute their gate time; the caller
+// stamps the admitted path itself.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, sp *obs.Span, t0 time.Time) ([]byte, bodyDigest, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		sp.Since(obs.SpanAdmit, t0)
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"), sp)
-		return false
+		return nil, bodyDigest{}, false
 	}
 	s.cRequests.Inc()
 	if s.draining.Load() {
 		sp.Since(obs.SpanAdmit, t0)
 		s.shed(w, http.StatusServiceUnavailable, "draining", sp)
-		return false
+		return nil, bodyDigest{}, false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	// The body lands behind endpoint and a zero byte, so one SHA-256
+	// over the buffer is the alias digest without copying the body. The
+	// declared length presizes the buffer only up to 1 MB, so a client
+	// cannot make the daemon reserve more than that before sending it.
+	var buf bytes.Buffer
+	buf.Grow(len(endpoint) + 1 + bytes.MinRead + int(min(max(r.ContentLength, 0), 1<<20)))
+	buf.WriteString(endpoint)
+	buf.WriteByte(0)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		sp.Since(obs.SpanAdmit, t0)
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err), sp)
-		return false
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err), sp)
+		return nil, bodyDigest{}, false
 	}
+	digest := bodyDigest(sha256.Sum256(buf.Bytes()))
 	s.inflight.Add(1)
 	// Drain may have flipped between the check and Add; re-check so
 	// Shutdown's inflight.Wait cannot miss us racing in.
@@ -508,9 +559,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any, sp *obs.
 		s.inflight.Done()
 		sp.Since(obs.SpanAdmit, t0)
 		s.shed(w, http.StatusServiceUnavailable, "draining", sp)
-		return false
+		return nil, bodyDigest{}, false
 	}
-	return true
+	return buf.Bytes()[len(endpoint)+1:], digest, true
 }
 
 // resolve materializes and validates the request's chain (canonical
@@ -543,17 +594,29 @@ func (s *Server) resolve(c *chain.Chain, net *NetSpec, ps PlatformSpec, os Optio
 	return rc, plat, opts, nil
 }
 
-// serveJob is the memo + single-flight + worker-pool path shared by the
-// plan and frontier handlers.
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, key fingerprint.Key, job job, sp *obs.Span) {
+// serveMemo writes key's memoized answer as a hit and counts it, or
+// reports false having written nothing but the fingerprint header.
+func (s *Server) serveMemo(w http.ResponseWriter, key fingerprint.Key, sp *obs.Span) bool {
 	fp := key.String()
 	sp.SetFingerprint(fp)
 	w.Header().Set(HeaderFingerprint, fp)
 	tm := sp.Clock()
-	status, body, hit := s.memo.Get(key, time.Now())
+	status, body, hit := s.memo.lookup(key, time.Now())
 	sp.Since(obs.SpanMemo, tm)
-	if hit {
-		s.writeAnswer(w, answer{status, body}, "hit", sp)
+	if !hit {
+		return false
+	}
+	s.memo.count(true)
+	s.writeAnswer(w, answer{status, body}, "hit", sp)
+	return true
+}
+
+// serveJob is the memo + single-flight + worker-pool path shared by the
+// plan and frontier handlers. It counts the request's memo outcome once,
+// where the outcome is decided: a waiter on a concurrent plan of its key
+// is a hit when the leader publishes, never a miss as well.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, key fingerprint.Key, job job, sp *obs.Span) {
+	if s.serveMemo(w, key, sp) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
@@ -564,6 +627,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, key fingerprin
 	for {
 		fl, leader := s.joinFlight(key)
 		if leader {
+			s.memo.count(false)
 			ans := s.dispatch(ctx, job, sp)
 			if ans.memoizable() {
 				s.memo.Put(key, ans.status, ans.body, time.Now())
@@ -579,8 +643,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, key fingerprin
 			if fl.ok {
 				// The leader's answer is exactly what we would have
 				// computed; count it as the memo hit it effectively is.
-				s.memo.hits.Add(1)
-				s.memo.cHits.Inc()
+				s.memo.count(true)
 				s.writeAnswer(w, fl.ans, "hit", sp)
 				return
 			}
@@ -588,6 +651,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, key fingerprin
 			// property of the request: plan it ourselves.
 		case <-ctx.Done():
 			sp.Since(obs.SpanFlight, tf)
+			s.memo.count(false)
 			s.cDeadline.Inc()
 			s.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("deadline exceeded waiting for concurrent plan of this request"), sp)
 			return

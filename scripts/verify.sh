@@ -139,12 +139,14 @@ echo "$OBS_BENCH" | grep 'ServeObsOverhead/enabled' | grep -q ' 0 allocs/op' || 
 go run ./cmd/benchdiff -bench 'BenchmarkServeObsOverhead' -benchtime 1000x -write=false -gate allocs -threshold 0
 
 # End-to-end daemon smoke: boot madpiped on an ephemeral port, run the
-# madpipeload smoke (health check, the pinned Fig 6 plan posted twice —
-# the repeat must be a bit-identical memo hit —, a frontier request, a
+# madpipeload smoke (health check, the pinned Fig 6 plan posted three
+# times — the byte-identical repeat and an indented re-encoding must be
+# bit-identical memo hits under the miss's fingerprint, and /v1/stats
+# must count exactly one body-alias hit —, a frontier request, a
 # /metrics scrape that requires the Prometheus latency histogram
 # families [madpipe_serve_req_plan_bucket/_count, serve_span_plan,
-# serve_slo_*], and a /debug/requests tail that must show the two plan
-# requests in order as miss-then-hit with equal fingerprints and plan
+# serve_slo_*], and a /debug/requests tail that must show the three plan
+# requests in order as miss, hit, hit with equal fingerprints and plan
 # time only on the miss), assert the served plan's headline fields
 # match the committed results/planreport_fig6.json, then SIGTERM and
 # require a clean drain.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"madpipe/internal/expt"
+	"madpipe/internal/nets"
 	"madpipe/internal/obs"
 	"madpipe/internal/serve"
 )
@@ -198,8 +199,9 @@ func BenchmarkGPTRawServe(b *testing.B) {
 // every op re-sends one pinned request against a pre-warmed server (a
 // pure memo hit); with repeat=false every op sends a never-seen cell (a
 // full cold plan). The committed ns/op pair is the memo's speedup
-// evidence.
-func serveMemoBench(b *testing.B, repeat bool) {
+// evidence. With inline=true the request carries the resnet50 profile
+// as an inline chain instead of naming it.
+func serveMemoBench(b *testing.B, repeat, inline bool) {
 	srv := serve.NewServer(serve.Config{Workers: 1})
 	hs := httptest.NewServer(srv.Mux())
 	defer func() {
@@ -223,6 +225,13 @@ func serveMemoBench(b *testing.B, repeat bool) {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
 		return resp.Header.Get(serve.HeaderMemo)
+	}
+	if inline {
+		c, err := nets.Build(nets.Spec{Name: mix[0].Net.Name, Batch: mix[0].Net.Batch, Size: mix[0].Net.Size})
+		if err != nil {
+			b.Fatal(err)
+		}
+		mix[0].Chain, mix[0].Net = c, nil
 	}
 	render := func(memGB float64) []byte {
 		r := mix[0]
@@ -259,8 +268,14 @@ func serveMemoBench(b *testing.B, repeat bool) {
 	}
 }
 
-func BenchmarkServeMemoHit(b *testing.B)  { serveMemoBench(b, true) }
-func BenchmarkServeMemoCold(b *testing.B) { serveMemoBench(b, false) }
+func BenchmarkServeMemoHit(b *testing.B)  { serveMemoBench(b, true, false) }
+func BenchmarkServeMemoCold(b *testing.B) { serveMemoBench(b, false, false) }
+
+// BenchmarkServeMemoHitInline is BenchmarkServeMemoHit with the chain
+// sent inline, the other hit kind: decoding a chain, not building a
+// named profile, is what a hit would pay before its memo lookup.
+// Advisory; no gate reads it.
+func BenchmarkServeMemoHitInline(b *testing.B) { serveMemoBench(b, true, true) }
 
 // BenchmarkServeObsOverhead measures exactly what the observability
 // plane adds to a memo-hit request, in process (no HTTP), via
