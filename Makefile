@@ -32,9 +32,10 @@ race:
 # pattern must cover every bench verify.sh gates against the snapshot
 # (a -write run replaces the snapshot wholesale, so a missing bench
 # here would strip its baseline). GPTRawParallel adds about a minute
-# per iteration — the raw 2050-layer probe round dominates the run.
+# per iteration — the raw 2050-layer probe round dominates the run —
+# and GPTRawProbe (one raw 1026-layer probe) a few seconds.
 bench:
-	$(GO) run ./cmd/benchdiff -bench 'BenchmarkFig6ResNet50|BenchmarkFig7AllNetworks|BenchmarkFig7Sweep|BenchmarkFig7Frontier|BenchmarkFig8Speedup|BenchmarkMadPipeDP|BenchmarkAlgorithm1|BenchmarkListScheduler|BenchmarkServeLoad|BenchmarkServeMemo|BenchmarkServeObsOverhead|BenchmarkGPTCoarsen|BenchmarkGPTRawParallel' -benchtime 3x
+	$(GO) run ./cmd/benchdiff -bench 'BenchmarkFig6ResNet50|BenchmarkFig7AllNetworks|BenchmarkFig7Sweep|BenchmarkFig7Frontier|BenchmarkFig8Speedup|BenchmarkMadPipeDP|BenchmarkAlgorithm1|BenchmarkListScheduler|BenchmarkServeLoad|BenchmarkServeMemo|BenchmarkServeObsOverhead|BenchmarkGPTCoarsen|BenchmarkGPTRawParallel|BenchmarkGPTRawProbe' -benchtime 3x
 
 # bench-quick compares without recording a snapshot.
 bench-quick:

@@ -475,6 +475,49 @@ func BenchmarkGPTRawParallel(b *testing.B) {
 	b.ReportMetric(float64(c.Len()), "rawlayers/op")
 }
 
+// BenchmarkGPTRawProbe is one lower-bound probe on the shape every
+// serve_gpt2_raw plan has: GPT-2 at 8-op granularity with 128 blocks
+// (1026 layers, past the column cache's colMaxL), P = 16, the 21×5×21
+// grid, 1800 GB and 300 GB/s, at probe fan 1 with observability on.
+// states/op and cuts/op are exact work counters, and ns/state and
+// ns/cut the probe's per-unit costs. valcerts/op counts the value
+// certificates the probe recorded: chains past colMaxL record none
+// (dpRun.valOn), which scripts/verify.sh pins with a hard grep for
+// "0 valcerts/op".
+func BenchmarkGPTRawProbe(b *testing.B) {
+	ts, ok := nets.TransformerPreset("gpt2")
+	if !ok {
+		b.Fatal("gpt2 preset missing")
+	}
+	ts.Blocks, ts.Granularity = 128, 8
+	c, err := nets.BuildTransformer(ts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plat := benchPlat(16, 1800, 300)
+	opts := core.Options{
+		Parallel:   1,
+		Iterations: 1,
+		Disc:       core.Discretization{TP: 21, MP: 5, V: 21},
+		Obs:        obs.NewRegistry(),
+	}
+	b.ResetTimer()
+	var st core.DPStats
+	for i := 0; i < b.N; i++ {
+		res, err := core.PlanAllocation(c, plat, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st = res.Evals[0].Stats
+	}
+	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(float64(st.StatesEvaluated), "states/op")
+	b.ReportMetric(float64(st.CutsEvaluated), "cuts/op")
+	b.ReportMetric(float64(st.ValCertsRecorded), "valcerts/op")
+	b.ReportMetric(perOp/float64(st.StatesEvaluated), "ns/state")
+	b.ReportMetric(perOp/float64(st.CutsEvaluated), "ns/cut")
+}
+
 // BenchmarkPipeDreamPlan measures the baseline partitioner.
 func BenchmarkPipeDreamPlan(b *testing.B) {
 	c := benchChain(b, "resnet101")

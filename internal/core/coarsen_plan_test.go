@@ -332,9 +332,12 @@ func TestTransformerLongChainPlan(t *testing.T) {
 	pl := plat(8, 2e12, 300e9)
 	disc := Discretization{TP: 21, MP: 5, V: 21}
 	// One probe for the plan and a two-sample frontier on one plateau:
-	// at this depth each DP probe costs seconds (10^6 states times a
-	// 2050-cut scan), so the test pays for exactly two solver runs; the
-	// second frontier sample folds from the first's certificates.
+	// at this depth each DP probe costs tens of seconds (10^6 states
+	// times a 2050-cut scan), so the test pays for three solver runs.
+	// The second frontier sample runs its own probe: certificates do not
+	// cross memory limits (certArm starts a new generation), and the
+	// first sample's memory interval stops just below 2 TB, so the
+	// frontier store cannot answer 1 TB.
 	opts := Options{Iterations: 1, Disc: disc, Parallel: 1, Obs: obs.NewRegistry()}
 	res, err := PlanAllocation(c, pl, opts)
 	if err != nil {

@@ -38,7 +38,8 @@ const colMaxL = 1024
 // target-period validity interval [lo, hi): the widest T̂ range on which
 // g and the ⊕-snapped child delay provably keep their current values
 // (see cutInterval). Computing the interval here amortizes it across
-// every state that visits the cut; the DP's hot loop pays two compares.
+// every state that visits the cut, so the DP's hot loop pays two
+// compares; value certificates are armed only where it does (valOn).
 type colEnt struct {
 	smem   float64
 	lo, hi float64
@@ -63,9 +64,9 @@ type colCache struct {
 	// ordinal come from a single load.
 	dir []uint64
 
-	// Per-ordinal entry slab, nV entries per column. Entries are packed
-	// into one 16-byte struct so the hot loop pays a single cache access
-	// per (l, k, iV) touch.
+	// Per-ordinal entry slab, nV entries per column. Each entry is one
+	// 32-byte colEnt, so the hot loop pays a single cache access per
+	// (l, k, iV) touch.
 	ent  []colEnt
 	gmax []int32 // per-ordinal scalar
 	n    int     // ordinals handed out this probe
@@ -153,7 +154,7 @@ func (r *dpRun) fillEnt(l, k, iV int, e *colEnt) {
 	if !r.disableSpecial {
 		e.smem = r.stageMem(k, l, g-1)
 	}
-	if r.tab.certOn {
+	if r.valOn {
 		e.lo, e.hi = r.cutInterval(v, u, r.cLeft[k], int(e.ivn))
 	}
 }

@@ -125,6 +125,13 @@ type dpRun struct {
 	tab   *dpTable
 	stack []dpFrame
 
+	// valOn arms value certificates (recording, adoption, per-cut
+	// intervals). runDPWith sets it only where the column cache is on:
+	// a column entry computes a cut's interval once for every state that
+	// visits the cut, where the inline path would recompute it on every
+	// visit. Death certificates follow tab.certOn on every shape.
+	valOn bool
+
 	// Observability. stats points at statsBuf when Options.Obs is set
 	// and is nil otherwise, so every instrumented site costs exactly one
 	// pointer check when disabled.
@@ -148,9 +155,10 @@ type dpRun struct {
 	// single limit the run verified. Certificates never change answers
 	// (TestCertReuseMatchesColdProbes), so adoption stays armed in
 	// frontier mode for its ~3x probe speedup; wide intervals then come
-	// from certificate-free runs (cold tables, first probes) and from
-	// the frontier store's monotone bracket merging (hint.go), which
-	// needs no tracked width at all.
+	// from certificate-free runs (cold tables, first probes, and chains
+	// past colMaxL that adopt no death certificate, since value
+	// certificates are off there) and from the frontier store's monotone
+	// bracket merging (hint.go), which needs no tracked width at all.
 	mtrack     bool
 	pmlo, pmhi float64
 	mAdopted   bool
@@ -264,9 +272,10 @@ type dpEntry struct {
 // whether any cut passed a memory check: a state that ends infeasible
 // with memOK still false died on memory alone, which is monotone in T̂
 // and therefore certifiable across probes (see dpTable.certMark).
-// flo/fhi accumulate the state's value-certificate interval: the
-// intersection of every visited cut's interval (colEnt.lo/hi) and every
-// consulted child's recorded range; fhi <= flo marks it empty.
+// flo/fhi accumulate the state's value-certificate interval when
+// dpRun.valOn is set: the intersection of every visited cut's interval
+// (colEnt.lo/hi) and every consulted child's recorded range; fhi <= flo
+// marks it empty.
 type dpFrame struct {
 	l, p, itP, imP, iV int32
 	k                  int32
@@ -274,6 +283,16 @@ type dpFrame struct {
 	memOK              bool
 	best               dpEntry
 	flo, fhi           float64
+}
+
+// narrow intersects [lo, hi) into the frame's value-certificate interval.
+func (f *dpFrame) narrow(lo, hi float64) {
+	if lo > f.flo {
+		f.flo = lo
+	}
+	if hi < f.fhi {
+		f.fhi = hi
+	}
 }
 
 // roundUp maps a continuous value onto its grid index, rounding up
@@ -576,10 +595,11 @@ func (r *dpRun) baseCase(l, imP int, tP, mP, v float64) dpEntry {
 // childValue returns the value of a sub-state if it is already resolved:
 // l == 0 states are closed-form, everything else comes from the table —
 // or from a cross-probe certificate: a memory-death certificate settles
-// the child at infinity, a value certificate whose interval covers the
-// probe target settles it at its recorded entry, in both cases without
-// descending. The returned index (-1 for l == 0) lets the caller
-// intersect the child's recorded validity range into its own interval.
+// the child at infinity, a value certificate (when armed, see
+// dpRun.valOn) whose interval covers the probe target settles it at its
+// recorded entry, in both cases without descending. The returned index
+// (-1 for l == 0) lets the caller intersect the child's recorded
+// validity range into its own interval.
 func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, int, bool) {
 	if l == 0 {
 		return float64(itP) * r.stepT, -1, true
@@ -594,10 +614,12 @@ func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, int, bool) {
 		}
 		r.mAdopted = true
 		r.tab.putAdopted(idx, dpEntry{period: inf, k: -1})
-		r.tab.valPutDead(idx, r.that)
+		if r.valOn {
+			r.tab.valPutDead(idx, r.that)
+		}
 		return inf, idx, true
 	}
-	if r.tab.certOn {
+	if r.valOn {
 		if e, ok := r.tab.valGet(idx, r.that); ok {
 			if st := r.stats; st != nil {
 				st.StatesValReused++
@@ -615,35 +637,13 @@ func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, int, bool) {
 // pushes the child, and resumes — recomputing only the cheap per-k
 // scalars — once the child's entry lands in the table. The
 // traversal order, pruning and floating-point operations replicate the
-// recursive formulation exactly (see TestDenseMatchesMapDP).
+// recursive formulation exactly (see TestDenseMatchesMapDP). A root
+// that is already tabulated or certified returns through childValue.
 func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
-	if l0 == 0 {
-		return float64(itP0) * r.stepT
-	}
-	idx0 := r.tab.idx(l0, p0, itP0, imP0, iV0)
-	if v, ok := r.tab.getPeriod(idx0); ok {
+	if v, _, ok := r.childValue(l0, p0, itP0, imP0, iV0); ok {
 		return v
 	}
-	if r.tab.certDead(idx0, r.that) {
-		if st := r.stats; st != nil {
-			st.StatesCertPruned++
-		}
-		r.mAdopted = true
-		r.tab.putAdopted(idx0, dpEntry{period: inf, k: -1})
-		r.tab.valPutDead(idx0, r.that)
-		return inf
-	}
-	certOn := r.tab.certOn
-	if certOn {
-		if e, ok := r.tab.valGet(idx0, r.that); ok {
-			if st := r.stats; st != nil {
-				st.StatesValReused++
-			}
-			r.mAdopted = true
-			r.tab.putAdopted(idx0, e)
-			return e.period
-		}
-	}
+	valOn := r.valOn
 	stats := r.stats
 	cc := &r.tab.cols
 	st := r.stack[:0]
@@ -670,7 +670,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					stats.CertsRecorded++
 				}
 			}
-			if certOn {
+			if valOn {
 				blo, bhi := r.baseInterval(v, l)
 				if r.tab.valPut(idx, blo, bhi, e) && stats != nil {
 					stats.ValCertsRecorded++
@@ -702,7 +702,8 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			// Per-cut scalars: from the monotone cut-point columns when
 			// the cache fits, recomputed inline otherwise. Both arms run
 			// the identical reference expressions (see columns.go), so the
-			// decision stream is the same either way.
+			// decision stream is the same either way; only the column arm
+			// carries value-certificate intervals (dpRun.valOn).
 			var g, iVN int
 			var smem float64
 			var normOK bool
@@ -722,17 +723,12 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					// the columns encode at any memory limit.
 					r.mPinNorm(r.stageMem(k, l, int(e.g)), normOK)
 				}
-				if certOn {
+				if valOn {
 					// Every visited cut constrains the state's value
 					// certificate: outside [e.lo, e.hi) the cut's group
 					// count or child delay changes and the evaluation may
 					// diverge. (Idempotent when a frame resumes a cut.)
-					if e.lo > f.flo {
-						f.flo = e.lo
-					}
-					if e.hi < f.fhi {
-						f.fhi = e.hi
-					}
+					f.narrow(e.lo, e.hi)
 				}
 			} else {
 				g = r.groupsU(v, u)
@@ -745,15 +741,6 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 				}
 				if !r.disableSpecial {
 					smem = r.stageMem(k, l, g-1)
-				}
-				if certOn {
-					clo, chi := r.cutInterval(v, u, cl, iVN)
-					if clo > f.flo {
-						f.flo = clo
-					}
-					if chi < f.fhi {
-						f.fhi = chi
-					}
 				}
 			}
 
@@ -780,14 +767,9 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 						pushed = true
 						break
 					}
-					if certOn && cidx >= 0 {
+					if valOn && cidx >= 0 {
 						if clo, chi, cok := r.tab.valRange(cidx, r.that); cok {
-							if clo > f.flo {
-								f.flo = clo
-							}
-							if chi < f.fhi {
-								f.fhi = chi
-							}
+							f.narrow(clo, chi)
 						} else {
 							f.flo, f.fhi = inf, -1
 						}
@@ -836,14 +818,9 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 						pushed = true
 						break
 					}
-					if certOn && cidx >= 0 {
+					if valOn && cidx >= 0 {
 						if clo, chi, cok := r.tab.valRange(cidx, r.that); cok {
-							if clo > f.flo {
-								f.flo = clo
-							}
-							if chi < f.fhi {
-								f.fhi = chi
-							}
+							f.narrow(clo, chi)
 						} else {
 							f.flo, f.fhi = inf, -1
 						}
@@ -872,7 +849,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			}
 		}
 		r.tab.put(idx, f.best)
-		if certOn {
+		if valOn {
 			// Cuts skipped by the monotone break need no constraint: the
 			// running best sequence is reproduced over the interval, so
 			// the break re-fires at the same k at any adopted target.
@@ -988,6 +965,7 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 		c: c, mem: plat.Memory,
 		weights: chain.WeightPolicy{Fixed: r.wFixed, PerBatch: r.wPerBatch},
 	})
+	r.valOn = tab.certOn && tab.cols.on
 	period := r.solve(c.Len(), normals, 0, 0, 0)
 	res := &DPResult{Period: period, States: tab.states}
 	// Table economics are populated even without observability: they are

@@ -74,10 +74,11 @@ type Options struct {
 	Obs *obs.Registry
 	// Cache, when set, carries planner state across PlanAllocation calls:
 	// a result memo (identical inputs return the recorded result without
-	// re-running Algorithm 1) and warm DP tables whose death and value
-	// certificates survive between calls that share a chain,
-	// communication terms, discretization, special mode and weight
-	// policy. Planner outputs are bit-identical with or without a cache;
+	// re-running Algorithm 1) and warm DP tables whose death certificates
+	// (and value certificates, on chains the cut-column cache covers)
+	// survive between calls that share a chain, communication terms,
+	// discretization, special mode and weight policy. Planner outputs
+	// are bit-identical with or without a cache;
 	// only the per-probe work counters (Eval.States, DPStats) shrink on
 	// warm runs, since adopted states are not re-evaluated. See
 	// PlannerCache.
@@ -132,6 +133,11 @@ func resolveParallel(p int) int {
 // maxProbeFan caps the bracket probes one Algorithm 1 round runs
 // concurrently.
 const maxProbeFan = 4
+
+// MaxIterations is the largest probe budget the search reserves Evals
+// for and the planning daemon admits: by then bisection has narrowed the
+// bracket to adjacent floats, and further probes repeat earlier targets.
+const MaxIterations = 64
 
 // probeFan is the number of bracket probes per round a resolved worker
 // budget buys.
@@ -403,10 +409,12 @@ func returnTableFor(t *dpTable, k tableKey, opts Options) {
 // each, folded in ascending-T̂ order until the probe budget is spent or
 // the bracket closes. At fan 1 this is the paper's bisection. Probe slot
 // i leases table i for the whole search: across rounds the slot's
-// probes reuse the table's columns, gmax memo and armed certificate
-// store, so later rounds start warm. The hint is consulted and updated
-// only on the coordinating goroutine: hint-answered probes never run
-// the DP, and floors and frontier records are written during the fold.
+// probes reuse the table's columns, gmax memo and armed certificates
+// (death certificates on every shape, value certificates where the
+// column cache is on), so later rounds start warm. The hint is consulted
+// and updated only on the coordinating goroutine: hint-answered probes
+// never run the DP, and floors and frontier records are written during
+// the fold.
 type search struct {
 	c         *chain.Chain
 	plat      platform.Platform
@@ -460,7 +468,7 @@ func newSearch(c *chain.Chain, plat platform.Platform, opts Options) *search {
 		smhi:      inf,
 		// A search folds at most Iterations probes; reserving them up
 		// front (bounded, for absurd budgets) spares the append growth.
-		res: &PhaseOneResult{PredictedPeriod: math.Inf(1), Evals: make([]Eval, 0, min(max(opts.Iterations, 0), 64))},
+		res: &PhaseOneResult{PredictedPeriod: math.Inf(1), Evals: make([]Eval, 0, min(max(opts.Iterations, 0), MaxIterations))},
 	}
 	// Certificate adoption stays armed in frontier mode too — adoption
 	// never changes answers (TestCertReuseMatchesColdProbes), and

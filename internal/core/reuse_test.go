@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -397,31 +398,112 @@ func TestCertReuseMatchesColdProbes(t *testing.T) {
 				continue // infeasible everywhere: nothing to cross-check
 			}
 			for _, ev := range res.Evals {
-				cold, err := DP(c, pl, ev.That, Options{Parallel: 1})
-				if err != nil {
-					t.Fatalf("trial %d: cold DP at T̂=%g: %v", trial, ev.That, err)
-				}
-				coldRaw := cold.Period
-				if cold.Alloc == nil {
-					coldRaw = math.Inf(1)
-				}
-				if ev.Raw != coldRaw {
-					t.Fatalf("trial %d parallel %d: warm probe at T̂=%g returned %g, cold solver %g",
-						trial, par, ev.That, ev.Raw, coldRaw)
-				}
-				if (ev.Alloc == nil) != (cold.Alloc == nil) {
-					t.Fatalf("trial %d parallel %d: feasibility mismatch at T̂=%g", trial, par, ev.That)
-				}
-				if ev.Alloc == nil {
-					continue
-				}
-				for i := range ev.Alloc.Spans {
-					if ev.Alloc.Spans[i] != cold.Alloc.Spans[i] || ev.Alloc.Procs[i] != cold.Alloc.Procs[i] {
-						t.Fatalf("trial %d parallel %d: allocation differs at T̂=%g stage %d",
-							trial, par, ev.That, i)
-					}
-				}
+				assertProbeMatchesCold(t, fmt.Sprintf("trial %d parallel %d", trial, par), c, pl, Options{Parallel: 1}, ev)
 			}
 		}
+	}
+}
+
+// assertProbeMatchesCold fails unless a search's probe reports the raw
+// period and allocation a cold, certificate-free DP computes at its T̂.
+func assertProbeMatchesCold(t *testing.T, label string, c *chain.Chain, pl platform.Platform, opts Options, ev Eval) {
+	t.Helper()
+	cold, err := DP(c, pl, ev.That, opts)
+	if err != nil {
+		t.Fatalf("%s: cold DP at T̂=%g: %v", label, ev.That, err)
+	}
+	coldRaw := cold.Period
+	if cold.Alloc == nil {
+		coldRaw = math.Inf(1)
+	}
+	if ev.Raw != coldRaw {
+		t.Fatalf("%s: warm probe at T̂=%g returned %g, cold solver %g", label, ev.That, ev.Raw, coldRaw)
+	}
+	if (ev.Alloc == nil) != (cold.Alloc == nil) {
+		t.Fatalf("%s: feasibility mismatch at T̂=%g", label, ev.That)
+	}
+	if ev.Alloc == nil {
+		return
+	}
+	if len(ev.Alloc.Spans) != len(cold.Alloc.Spans) {
+		t.Fatalf("%s: %d stages at T̂=%g, cold solver %d", label, len(ev.Alloc.Spans), ev.That, len(cold.Alloc.Spans))
+	}
+	for i := range ev.Alloc.Spans {
+		if ev.Alloc.Spans[i] != cold.Alloc.Spans[i] || ev.Alloc.Procs[i] != cold.Alloc.Procs[i] {
+			t.Fatalf("%s: allocation differs at T̂=%g stage %d", label, ev.That, i)
+		}
+	}
+}
+
+// TestValueCertsOffPastColMaxL pins the certificate policy on chains the
+// column cache does not cover: their probes record and adopt no value
+// certificates, yet every probe still equals a cold DP at its target,
+// tight memory still records and adopts death certificates, and a
+// frontier over a memory ladder still equals cold per-cell planning —
+// with the store answering a sample inside the first search's memory
+// interval. A short chain on the same grid keeps its value certificates.
+func TestValueCertsOffPastColMaxL(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := chain.Random(rng, colMaxL+9, chain.DefaultRandomOptions())
+	disc := Discretization{TP: 5, MP: 5, V: 5}
+	pl := plat(4, 300e9, 12e9)
+	for _, par := range []int{1, 2} {
+		res, err := PlanAllocation(c, pl, Options{Disc: disc, Iterations: 6, Parallel: par, Obs: obs.NewRegistry()})
+		if err != nil {
+			t.Fatalf("fan %d: %v", par, err)
+		}
+		if len(res.Evals) != 6 {
+			t.Fatalf("fan %d: %d probes, want 6 (at least three rounds)", par, len(res.Evals))
+		}
+		var deaths, pruned uint64
+		for i, ev := range res.Evals {
+			if ev.Stats.ValCertsRecorded != 0 || ev.Stats.StatesValReused != 0 {
+				t.Fatalf("fan %d probe %d: %d value certificates recorded, %d adopted past colMaxL",
+					par, i, ev.Stats.ValCertsRecorded, ev.Stats.StatesValReused)
+			}
+			deaths += ev.Stats.CertsRecorded
+			pruned += ev.Stats.StatesCertPruned
+			assertProbeMatchesCold(t, fmt.Sprintf("fan %d probe %d", par, i), c, pl, Options{Disc: disc}, ev)
+		}
+		if deaths == 0 || pruned == 0 {
+			t.Fatalf("fan %d: tight memory recorded %d death certificates and adopted %d", par, deaths, pruned)
+		}
+	}
+
+	mems := []float64{2000e9, 1999.999e9, 300e9}
+	cache := NewPlannerCache()
+	defer cache.Release(nil)
+	opts := Options{Disc: disc, Iterations: 3, Parallel: 1, Cache: cache}
+	fr, err := PlanFrontier(c, plat(4, 1, 12e9), mems, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.FrontierSaved == 0 {
+		t.Fatalf("no frontier sample was answered from the store (%d probes, %d saved)", fr.Probes, fr.ProbesSaved)
+	}
+	for _, mem := range mems {
+		pl := plat(4, mem, 12e9)
+		cold, err := PlanAllocation(c, pl, Options{Disc: disc, Iterations: 3, Parallel: 1})
+		if err != nil {
+			t.Fatalf("M=%g: cold plan: %v", mem, err)
+		}
+		memo, ok := cache.getPlan(planKeyFor(c, pl, opts.withDefaults()))
+		if !ok {
+			t.Fatalf("M=%g: frontier left no memo entry", mem)
+		}
+		comparePhaseOne(t, "long-chain frontier sample", memo, cold)
+	}
+
+	short := chain.Random(rng, 40, chain.DefaultRandomOptions())
+	res, err := PlanAllocation(short, plat(4, 20e9, 12e9), Options{Disc: disc, Parallel: 1, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded uint64
+	for _, ev := range res.Evals {
+		recorded += ev.Stats.ValCertsRecorded
+	}
+	if recorded == 0 {
+		t.Fatalf("a %d-layer chain recorded no value certificates in %d probes", short.Len(), len(res.Evals))
 	}
 }

@@ -72,10 +72,11 @@ const tableMaxL = metaKMask - 1
 //     certSeen against certEpoch.
 //   - vlo/vhi/vperiod/vmeta/vepoch: the value certificate — the state's
 //     full DP entry together with the target-period interval [vlo, vhi)
-//     on which it is proven valid. The interval is built while the state
-//     is evaluated (see cutInterval): it is the intersection, over every
-//     visited cut, of the widest T̂ ranges keeping the cut's group count
-//     and child grid index at their current values, further intersected
+//     on which it is proven valid, recorded only on column-cached shapes
+//     (dpRun.valOn). The interval is built while the state is evaluated
+//     (see cutInterval): it is the intersection, over every visited cut,
+//     of the widest T̂ ranges keeping the cut's group count and child
+//     grid index at their current values, further intersected
 //     with the children's own recorded intervals — so for any probe with
 //     T̂' inside the interval the whole evaluation replays move-for-move
 //     and the entry can be adopted wholesale, value and reconstruction
@@ -120,17 +121,19 @@ type dpTable struct {
 	// blocks.
 	trimHWM int
 
-	// Cross-probe infeasibility certificates (Algorithm 1 only; see
-	// certBegin). certThat[idx] is the largest target period at which the
-	// state idx was proven memory-dead: every cut k failed its memory
-	// check outright, with no recourse to child values. Group counts
+	// Cross-probe certificates (Algorithm 1 only; see certBegin). certOn
+	// arms death certificates on every shape, and value certificates
+	// where the column cache is on (dpRun.valOn). A death certificate
+	// (dpState.certThat) is the largest target period at which the state
+	// was proven memory-dead: every cut k failed its memory check
+	// outright, with no recourse to child values. Group counts
 	// g = ceil((V+U)/T̂) only grow as T̂ shrinks while the stage-memory
 	// formula is T̂-independent, so memory-death at T̂ implies
 	// memory-death — an infinite DP value — at every T̂' <= T̂. (General
 	// value-infeasibility is NOT monotone in T̂, because the ⊕ snapping
-	// changes which delay a child sees; certificates therefore record
-	// memory-death only.) Entries are validated against certEpoch so a
-	// pooled table never leaks certificates across leases.
+	// changes which delay a child sees; death certificates therefore
+	// record memory-death only.) Entries are validated against certEpoch
+	// so a pooled table never leaks certificates across leases.
 	certOn    bool
 	certEpoch uint32
 	// certMem is the memory limit the live certificate generation was
@@ -210,23 +213,26 @@ func (t *dpTable) reset(nL, nP, nT, nM, nV int) {
 	}
 }
 
-// certBegin arms the certificate store for the current table lease.
-// Certificates are only sound while every probe on the lease shares the
-// same chain, platform, discretization and weight policy — exactly the
-// shape of one Algorithm 1 run — so only PlanAllocation calls this;
-// one-shot DP() runs leave certificates off. Bumping the epoch
-// invalidates whatever a previous lease recorded (death and value
-// certificates share the generation). A PlannerCache lease that revives
-// a warm table skips certBegin precisely to keep both stores alive.
+// certBegin arms the certificate store for the current table lease:
+// death certificates on every shape, value certificates on the shapes
+// the column cache covers (runDPWith derives dpRun.valOn). Certificates
+// are only sound while every probe on the lease shares the same chain,
+// platform, discretization and weight policy — exactly the shape of one
+// Algorithm 1 run — so only PlanAllocation calls this; one-shot DP()
+// runs leave certificates off. Bumping the epoch invalidates whatever a
+// previous lease recorded (death and value certificates share the
+// generation). A PlannerCache lease that revives a warm table skips
+// certBegin precisely to keep both stores alive.
 func (t *dpTable) certBegin() {
 	t.certOn = true
 	t.certMax = 0
 	t.certEpoch++
 }
 
-// certArm arms the certificate store for a lease at the given memory
-// limit. A warm table (PlannerCache lease) whose live generation was
-// recorded at the same limit resumes — both certificate stores stay
+// certArm arms the certificate store (death certificates everywhere,
+// value certificates on column-cached shapes) for a lease at the given
+// memory limit. A warm table (PlannerCache lease) whose live generation
+// was recorded at the same limit resumes — both certificate stores stay
 // valid, which is the whole point of warm leasing; any other case is a
 // fresh generation. Chain, platform communication terms, discretization,
 // special mode and weight policy are guaranteed equal by the lease key

@@ -479,6 +479,7 @@ func TestServeBadRequests(t *testing.T) {
 		"disc out of range": `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"disc_tp":21,"disc_mp":5,"disc_v":1000}}`,
 		"infinite memory":   `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":1e300,"bandwidth_gb":12}}`,
 		"negative iters":    `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"iterations":-3}}`,
+		"too many iters":    `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"iterations":65}}`,
 		"negative parallel": `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"parallel":-1}}`,
 	} {
 		for attempt := 0; attempt < 2; attempt++ {
@@ -498,6 +499,7 @@ func TestServeBadRequests(t *testing.T) {
 			for field, want := range map[string]string{
 				"infinite memory":   "Memory",
 				"negative iters":    "iterations",
+				"too many iters":    "iterations",
 				"negative parallel": "parallel",
 			} {
 				if name == field && !strings.Contains(er.Error, want) {
@@ -515,6 +517,13 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Alias.Entries != 0 || st.Alias.Hits != 0 || st.Memo.Hits+st.Memo.Misses != 0 {
 		t.Errorf("bad requests reached the alias index or the memo: alias %+v, memo %+v", st.Alias, st.Memo)
+	}
+	// The iterations bound is inclusive.
+	resp, body := postJSON(t, hs.URL+"/v1/plan", PlanRequest{Chain: testChain(8, 1),
+		Platform: PlatformSpec{Workers: 4, Memory: 8e9, Bandwidth: 1.2e10},
+		Options:  OptionsSpec{Iterations: core.MaxIterations, Parallel: 1}})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("iterations %d: status %d, want 200: %s", core.MaxIterations, resp.StatusCode, body)
 	}
 }
 

@@ -110,6 +110,19 @@ go run ./cmd/benchdiff -bench 'BenchmarkGPTCoarsen$' -benchtime 1x -write=false 
 echo "== raw transformer blocked-parallel regression check (gate: states/op + rawlayers/op, exact)"
 go run ./cmd/benchdiff -bench 'BenchmarkGPTRawParallel$' -benchtime 1x -write=false -gate states/op,rawlayers/op -threshold 0
 
+# Value certificates are armed only on chains the cut-column cache
+# covers (colMaxL layers), where a column entry computes each cut's
+# validity interval once; past it the interval would run on every cut
+# visit. A raw 1026-layer probe must therefore record none. Pinned by a
+# hard grep, since benchdiff cannot gate a zero baseline.
+echo "== raw long-chain probe (gate: 0 valcerts/op, exact)"
+RAW_PROBE="$(go test -run '^$' -bench 'BenchmarkGPTRawProbe$' -benchtime 1x .)"
+echo "$RAW_PROBE"
+echo "$RAW_PROBE" | grep 'GPTRawProbe' | grep -q ' 0 valcerts/op' || {
+	echo "a raw long-chain probe recorded value certificates; the inline cut path re-armed them"
+	exit 1
+}
+
 # The serving layer's memo economics are an exact function of the
 # deterministic request mix at one client (no concurrent first contacts
 # can split a miss): any drift in misses/op is a fingerprint- or
