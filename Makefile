@@ -17,9 +17,11 @@ test:
 # scripts/verify.sh: build, vet, staticcheck, full tests, -race smokes
 # over the concurrent probe/sweep/frontier paths, shuffled
 # expt tests, a one-shot benchmark sanity run, and exact regression
-# checks against the committed BENCH_*.json snapshot (allocs, sweep
-# probes/op, frontier probes/op + dpprobes/op; ns/op deltas print for
-# review only — shared-machine timing noise swings by integer factors).
+# checks against the committed BENCH_*.json snapshots (allocs, sweep
+# probes/op, frontier probes/op + dpprobes/op, transformer and raw
+# long-chain states/op, raw probe cuts/op; an exact gate fails a move in
+# either direction; ns/op deltas print for review only — shared-machine
+# timing noise swings by integer factors).
 verify:
 	scripts/verify.sh
 
@@ -28,12 +30,11 @@ race:
 	scripts/race_smoke.sh
 
 # bench runs the regression suite, writes BENCH_<date>.json and fails on
-# ns/op or allocs/op regressions against the previous snapshot. The
-# pattern must cover every bench verify.sh gates against the snapshot
-# (a -write run replaces the snapshot wholesale, so a missing bench
-# here would strip its baseline). GPTRawParallel adds about a minute
-# per iteration — the raw 2050-layer probe round dominates the run —
-# and GPTRawProbe (one raw 1026-layer probe) a few seconds.
+# ns/op or allocs/op regressions against each bench's newest recorded
+# baseline. The pattern covers every bench verify.sh gates, so a new
+# snapshot re-pins all of them at once. GPTRawParallel adds ~10 s per
+# iteration — the raw 2050-layer probe round dominates the run — and
+# GPTRawProbe (one raw 1026-layer probe) a couple of seconds.
 bench:
 	$(GO) run ./cmd/benchdiff -bench 'BenchmarkFig6ResNet50|BenchmarkFig7AllNetworks|BenchmarkFig7Sweep|BenchmarkFig7Frontier|BenchmarkFig8Speedup|BenchmarkMadPipeDP|BenchmarkAlgorithm1|BenchmarkListScheduler|BenchmarkServeLoad|BenchmarkServeMemo|BenchmarkServeObsOverhead|BenchmarkGPTCoarsen|BenchmarkGPTRawParallel|BenchmarkGPTRawProbe' -benchtime 3x
 

@@ -480,7 +480,9 @@ func BenchmarkGPTRawParallel(b *testing.B) {
 // (1026 layers, past the column cache's colMaxL), P = 16, the 21×5×21
 // grid, 1800 GB and 300 GB/s, at probe fan 1 with observability on.
 // states/op and cuts/op are exact work counters, and ns/state and
-// ns/cut the probe's per-unit costs. valcerts/op counts the value
+// ns/cut the probe's per-unit costs. floorskip/op counts the children
+// the cut loop skipped on their work-conservation floor (exact too).
+// valcerts/op counts the value
 // certificates the probe recorded: chains past colMaxL record none
 // (dpRun.valOn), which scripts/verify.sh pins with a hard grep for
 // "0 valcerts/op".
@@ -513,6 +515,7 @@ func BenchmarkGPTRawProbe(b *testing.B) {
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(float64(st.StatesEvaluated), "states/op")
 	b.ReportMetric(float64(st.CutsEvaluated), "cuts/op")
+	b.ReportMetric(float64(st.CutsSkippedFloor), "floorskip/op")
 	b.ReportMetric(float64(st.ValCertsRecorded), "valcerts/op")
 	b.ReportMetric(perOp/float64(st.StatesEvaluated), "ns/state")
 	b.ReportMetric(perOp/float64(st.CutsEvaluated), "ns/cut")

@@ -16,18 +16,26 @@
 // machines whose timing noise would make a ns/op gate flaky, or
 // -gate allocs,states to additionally gate the planner's deterministic
 // states/op counter (exact across machines, so any drift is a real
-// search-space change). Unrecognised gate names containing a slash are
-// treated as literal units, so any custom ReportMetric counter can be
-// gated. Ungated metrics are informational. Benchmarks or metrics that exist only in the current
-// run print as "new" and ones that exist only in the baseline print as
-// "gone" — neither fails the comparison, since both usually mean a
-// rename or a narrower -bench regexp rather than a regression.
-// Snapshots never overwrite an existing file: a second run on the same
-// day writes BENCH_<date>b.json (then c, d, ...), which still sorts
-// lexically after the original so the newest run stays the default
-// baseline. The benchmarks are deterministic (fixed seeds), so
-// allocs/op comparisons are exact; ns/op carries machine noise — pick a
-// threshold accordingly or pin -benchtime.
+// search-space change). -threshold 0 makes the gate exact: a gated
+// metric that moves in either direction fails, so an exact counter that
+// falls must be re-pinned by a new snapshot rather than pass silently.
+// Unrecognised gate names containing a slash are treated as literal
+// units, so any custom ReportMetric counter can be gated. Ungated
+// metrics are informational. Benchmarks or metrics that exist only in
+// the current run print as "new" and ones that exist only in the
+// baseline print as "gone" — neither fails the comparison, since both
+// usually mean a rename or a narrower -bench regexp rather than a
+// regression.
+//
+// Without -old, each benchmark's baseline is its entry in the newest
+// BENCH_*.json snapshot that contains it, so a narrow snapshot (say,
+// `make bench-warm`'s two sweep benchmarks) does not strip every other
+// benchmark of its baseline. Snapshots never overwrite an existing
+// file: a second run on the same day writes BENCH_<date>b.json (then c,
+// d, ...), which still sorts lexically after the original. The
+// benchmarks are deterministic (fixed seeds), so allocs/op comparisons
+// are exact; ns/op carries machine noise — pick a threshold accordingly
+// or pin -benchtime.
 package main
 
 import (
@@ -58,6 +66,10 @@ type Result struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	// From names the older snapshot a baseline result was taken from
+	// when the newest one lacks the benchmark (see baseline); never
+	// written.
+	From string `json:"-"`
 }
 
 func main() {
@@ -65,9 +77,9 @@ func main() {
 		bench     = flag.String("bench", "Benchmark", "benchmark regexp passed to go test -bench")
 		benchtime = flag.String("benchtime", "3x", "value passed to go test -benchtime")
 		dir       = flag.String("dir", ".", "directory holding the BENCH_*.json snapshots")
-		old       = flag.String("old", "", "previous snapshot to compare against (default: newest BENCH_*.json in -dir)")
+		old       = flag.String("old", "", "previous snapshot to compare against (default: per benchmark, the newest BENCH_*.json in -dir that contains it)")
 		write     = flag.Bool("write", true, "write BENCH_<date>.json after the run")
-		threshold = flag.Float64("threshold", 0.10, "relative regression tolerated on gated metrics")
+		threshold = flag.Float64("threshold", 0.10, "relative regression tolerated on gated metrics; 0 fails any change in either direction")
 		gate      = flag.String("gate", "time,allocs", "comma list of metrics whose regressions fail the run: time, allocs, states, probes, bytes, or a literal unit such as states/op")
 		warm      = flag.Bool("warm", false, "print a Cold/Warm column pair for every <Name>Cold/<Name>Warm benchmark pair in this run, and fail unless each Warm side shows live reuse (valreuse/op > 0)")
 		count     = flag.Int("count", 1, "value passed to go test -count; runs above 1 interleave the whole benchmark set (A/B pairs see the same machine conditions) and report per-metric means")
@@ -94,18 +106,20 @@ func main() {
 		Results:   results,
 	}
 
+	var prev *Snapshot
 	prevPath := *old
-	if prevPath == "" {
-		prevPath = latestSnapshot(*dir)
+	if prevPath != "" {
+		prev, err = readSnapshot(prevPath)
+	} else {
+		prev, prevPath, err = baseline(*dir, cur)
+	}
+	if err != nil {
+		fatal(err)
 	}
 	regressed := false
-	if prevPath == "" {
+	if prev == nil {
 		fmt.Println("benchdiff: no previous BENCH_*.json snapshot; nothing to compare")
 	} else {
-		prev, err := readSnapshot(prevPath)
-		if err != nil {
-			fatal(err)
-		}
 		regressed = compare(prev, cur, prevPath, *threshold, gated)
 	}
 
@@ -264,13 +278,48 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-func latestSnapshot(dir string) string {
-	matches, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if len(matches) == 0 {
-		return ""
+// baseline assembles the comparison baseline for cur from the snapshots
+// in dir: every result of the newest snapshot, plus, for each benchmark
+// of cur the newest lacks, its entry in the newest older snapshot that
+// has it (Result.From names that file). It returns nil when dir holds no
+// snapshot, and the newest snapshot's path.
+func baseline(dir string, cur *Snapshot) (*Snapshot, string, error) {
+	paths, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if len(paths) == 0 {
+		return nil, "", nil
 	}
-	sort.Strings(matches) // dates are ISO: lexical order is chronological
-	return matches[len(matches)-1]
+	sort.Strings(paths) // dates are ISO: lexical order is chronological
+	newest := paths[len(paths)-1]
+	prev, err := readSnapshot(newest)
+	if err != nil {
+		return nil, "", err
+	}
+	have := map[string]bool{}
+	for _, r := range prev.Results {
+		have[r.Name] = true
+	}
+	for i := len(paths) - 2; i >= 0; i-- {
+		var older *Snapshot
+		for _, r := range cur.Results {
+			if have[r.Name] {
+				continue
+			}
+			if older == nil {
+				if older, err = readSnapshot(paths[i]); err != nil {
+					return nil, "", err
+				}
+			}
+			for _, o := range older.Results {
+				if o.Name == r.Name {
+					o.From = paths[i]
+					prev.Results = append(prev.Results, o)
+					have[r.Name] = true
+					break
+				}
+			}
+		}
+	}
+	return prev, newest, nil
 }
 
 func readSnapshot(path string) (*Snapshot, error) {
@@ -286,7 +335,8 @@ func readSnapshot(path string) (*Snapshot, error) {
 }
 
 // compare prints a delta table and reports whether any benchmark
-// regressed beyond the threshold on a gated lower-is-better metric.
+// regressed beyond the threshold on a gated lower-is-better metric — or,
+// at threshold 0, whether any gated metric moved at all.
 func compare(prev, cur *Snapshot, prevPath string, threshold float64, gated map[string]bool) bool {
 	prevBy := map[string]Result{}
 	for _, r := range prev.Results {
@@ -302,6 +352,9 @@ func compare(prev, cur *Snapshot, prevPath string, threshold float64, gated map[
 		if !ok {
 			fmt.Printf("%-28s %14s %14s %8s\n", r.Name, "-", "-", "new")
 			continue
+		}
+		if p.From != "" {
+			fmt.Printf("%-28s baseline from %s\n", r.Name, p.From)
 		}
 		units := make([]string, 0, len(r.Metrics))
 		for u := range r.Metrics {
@@ -321,7 +374,12 @@ func compare(prev, cur *Snapshot, prevPath string, threshold float64, gated map[
 				delta = fmt.Sprintf("%+.1f%%", (nv-ov)/ov*100)
 			}
 			flag := ""
-			if gated[u] && ov > 0 && nv > ov*(1+threshold) {
+			switch {
+			case !gated[u]:
+			case threshold == 0 && nv != ov:
+				flag = "  CHANGED (exact gate)"
+				regressed = true
+			case ov > 0 && nv > ov*(1+threshold):
 				flag = "  REGRESSION"
 				regressed = true
 			}

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 const sample = `goos: linux
 goarch: amd64
@@ -102,5 +107,92 @@ func TestCompareGatesStatesCounter(t *testing.T) {
 	worse := &Snapshot{Results: []Result{{Name: "DP", Metrics: map[string]float64{"ns/op": 100, "states/op": 5001}}}}
 	if !compare(prev, worse, "prev.json", 0, gate) {
 		t.Error("states/op growth not flagged at zero threshold")
+	}
+}
+
+func TestCompareExactGateBothDirections(t *testing.T) {
+	// At threshold 0 an exact counter that falls fails too: a drop is a
+	// search-behavior change that must be re-pinned, not a free pass
+	// that keeps the stale value as the baseline.
+	gate := map[string]bool{"states/op": true}
+	prev := &Snapshot{Results: []Result{{Name: "DP", Metrics: map[string]float64{"ns/op": 100, "states/op": 5000}}}}
+	fewer := &Snapshot{Results: []Result{{Name: "DP", Metrics: map[string]float64{"ns/op": 50, "states/op": 4999}}}}
+	if !compare(prev, fewer, "prev.json", 0, gate) {
+		t.Error("states/op drop passed an exact gate")
+	}
+	// A relative threshold still fails only rises.
+	if compare(prev, fewer, "prev.json", 0.10, gate) {
+		t.Error("states/op drop flagged at a 10% threshold")
+	}
+	// Ungated metrics never fail, whichever way they move.
+	if compare(prev, fewer, "prev.json", 0, map[string]bool{"allocs/op": true}) {
+		t.Error("ungated drop flagged at threshold 0")
+	}
+	// A zero baseline is exact too.
+	zero := &Snapshot{Results: []Result{{Name: "DP", Metrics: map[string]float64{"allocs/op": 0}}}}
+	one := &Snapshot{Results: []Result{{Name: "DP", Metrics: map[string]float64{"allocs/op": 1}}}}
+	if !compare(zero, one, "prev.json", 0, map[string]bool{"allocs/op": true}) {
+		t.Error("allocs/op 0 -> 1 passed an exact gate")
+	}
+}
+
+func TestBaselinePerBenchmark(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, s Snapshot) {
+		t.Helper()
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("BENCH_2026-01-01.json", Snapshot{Date: "2026-01-01", Results: []Result{
+		{Name: "Sweep", Metrics: map[string]float64{"states/op": 1}},
+		{Name: "Raw", Metrics: map[string]float64{"states/op": 100}},
+	}})
+	write("BENCH_2026-01-02.json", Snapshot{Date: "2026-01-02", Results: []Result{
+		{Name: "Raw", Metrics: map[string]float64{"states/op": 90}},
+	}})
+	// The newest snapshot is narrow: it holds only Sweep.
+	write("BENCH_2026-01-02b.json", Snapshot{Date: "2026-01-02", Results: []Result{
+		{Name: "Sweep", Metrics: map[string]float64{"states/op": 2}},
+	}})
+	cur := &Snapshot{Results: []Result{
+		{Name: "Sweep", Metrics: map[string]float64{"states/op": 2}},
+		{Name: "Raw", Metrics: map[string]float64{"states/op": 90}},
+		{Name: "Fresh", Metrics: map[string]float64{"states/op": 7}},
+	}}
+	prev, path, err := baseline(dir, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(dir, "BENCH_2026-01-02b.json"); path != want {
+		t.Errorf("baseline path %s, want the newest snapshot %s", path, want)
+	}
+	got := map[string]Result{}
+	for _, r := range prev.Results {
+		got[r.Name] = r
+	}
+	if r := got["Sweep"]; r.Metrics["states/op"] != 2 || r.From != "" {
+		t.Errorf("Sweep baseline %+v, want the newest snapshot's", r)
+	}
+	if r := got["Raw"]; r.Metrics["states/op"] != 90 || r.From != filepath.Join(dir, "BENCH_2026-01-02.json") {
+		t.Errorf("Raw baseline %+v, want the newest snapshot that has it", r)
+	}
+	if _, ok := got["Fresh"]; ok {
+		t.Error("a benchmark no snapshot has got a baseline")
+	}
+	gate := map[string]bool{"states/op": true}
+	if compare(prev, cur, path, 0, gate) {
+		t.Error("unchanged counters flagged against the assembled baseline")
+	}
+	cur.Results[1].Metrics["states/op"] = 91
+	if !compare(prev, cur, path, 0, gate) {
+		t.Error("Raw drift passed: its baseline was stripped by the narrow snapshot")
+	}
+	if prev, _, err := baseline(t.TempDir(), cur); err != nil || prev != nil {
+		t.Errorf("empty dir: baseline %v, %v; want nil, nil", prev, err)
 	}
 }

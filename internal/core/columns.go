@@ -13,8 +13,8 @@ import "madpipe/internal/chain"
 // and the normal-branch memory check M(k,l,g) <= mem reduces to
 // g[iV] <= gmax because stage memory is non-decreasing in g (weight
 // copies and retained activations only grow with the group count). A
-// column is built once per probe with exactly the reference expressions
-// (groupsU / oplus / roundUp / stageMem), so every lookup is
+// column is built once per probe with exactly the inline arm's
+// expressions (cutDelay / roundUp / stageMem), so every lookup is
 // bit-identical to recomputing — the DP's traversal, values and
 // reconstruction choices are unchanged, only cheaper. Feasible k ranges
 // shrink monotonically along the grid axes (g is non-decreasing in iV,
@@ -147,9 +147,9 @@ func (r *dpRun) fillEnt(l, k, iV int, e *colEnt) {
 	}
 	u := r.uTo[l] - r.uTo[k-1]
 	v := float64(iV) * r.stepV
-	g := r.groupsU(v, u)
+	cw, vNext := r.cutDelay(v, r.ceilT(v), u, r.cLeft[k])
+	g := groupCount(cw)
 	e.g = int32(g)
-	vNext := r.oplus(r.oplus(v, u), r.cLeft[k])
 	e.ivn = int32(roundUp(vNext, r.stepV, r.nV))
 	if !r.disableSpecial {
 		e.smem = r.stageMem(k, l, g-1)

@@ -37,6 +37,41 @@ func TestOplus(t *testing.T) {
 	}
 }
 
+// TestCutDelayMatchesReference: the table DP's cut arithmetic (cutDelay
+// plus groupCount) must equal the reference groupsU and
+// oplus(oplus(v, u), cl) bit for bit, on sums that land exactly on group
+// boundaries (both ⊕ steps snapping or not) as well as on random ones.
+func TestCutDelayMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	check := func(that, v, u, cl float64) {
+		t.Helper()
+		r := &dpRun{that: that}
+		cw, got := r.cutDelay(v, r.ceilT(v), u, cl)
+		want := r.oplus(r.oplus(v, u), cl)
+		if g, wg := groupCount(cw), r.groupsU(v, u); g != wg || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("T̂=%g v=%g u=%g cl=%g: cutDelay gives g=%d vNext=%x, reference g=%d vNext=%x",
+				that, v, u, cl, g, math.Float64bits(got), wg, math.Float64bits(want))
+		}
+	}
+	for _, tc := range [][4]float64{
+		{10, 0, 0, 0}, {10, 0, 10, 0}, {10, 10, 5, 5}, {10, 7, 5, 8},
+		{10, 20, 0.5, 9.5}, {10, 0, 1e-12, 1e-12}, {10, 5, 5, 10},
+	} {
+		check(tc[0], tc[1], tc[2], tc[3])
+	}
+	for i := 0; i < 200000; i++ {
+		that := 0.1 + 10*rng.Float64()
+		grid := that / float64(1+rng.Intn(8))
+		v := float64(rng.Intn(40)) * grid
+		u := float64(rng.Intn(40)) * grid
+		cl := float64(rng.Intn(40)) * grid
+		if i%2 == 1 {
+			u, cl = 3*that*rng.Float64(), 3*that*rng.Float64()
+		}
+		check(that, v, u, cl)
+	}
+}
+
 func TestGroupsFormula(t *testing.T) {
 	c := chain.Uniform(4, 1, 1, 1, 1) // U per layer = 2
 	r := &dpRun{c: c, that: 5}

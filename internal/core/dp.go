@@ -122,6 +122,10 @@ type dpRun struct {
 	mem                            float64
 	L                              int
 
+	// floorSlack is the per-layer slack of the work-conservation floor
+	// (see childFloor), set by init.
+	floorSlack float64
+
 	tab   *dpTable
 	stack []dpFrame
 
@@ -463,12 +467,39 @@ func (r *dpRun) baseInterval(v float64, l int) (float64, float64) {
 
 // oplus is the ⊕ operator of Section 4.2.2: advance a delay x by a work
 // amount y, snapping x up to the next multiple of T̂ when the addition
-// crosses a group boundary.
+// crosses a group boundary. The solvers evaluate it through cutDelay;
+// this direct form is the reference the map DP and the tests run.
 func (r *dpRun) oplus(x, y float64) float64 {
 	if r.ceilT(x+y) == r.ceilT(x) {
 		return x + y
 	}
 	return r.that*r.ceilT(x) + y
+}
+
+// cutDelay is the delay arithmetic of a cut [k, l] with work u and
+// per-batch compute cl = cLeft[k] under downstream delay v. It returns
+// cw = ceilT(v+u), from which groupCount gives the cut's group count,
+// and the child's delay oplus(oplus(v, u), cl), evaluating each ceilT
+// once. cv is ceilT(v), which a caller scanning the cuts of one state
+// computes once per state. cw serves both the group count and the first
+// ⊕'s crossing side. A snap keeps oplus's T̂·n + y expression, so the float
+// results equal the reference's on every architecture. Every table-DP
+// path (solve's inline arm, fillEnt, reconstruct) goes through here;
+// groupsU and oplus stay as the reference the map DP and the tests run.
+// Returning cw rather than the clamped count keeps the body under the
+// compiler's inlining budget, which solve's cut loop needs.
+func (r *dpRun) cutDelay(v, cv, u, cl float64) (cw, vNext float64) {
+	vNext = v + u
+	cw = r.ceilT(vNext)
+	if cw != cv {
+		vNext = r.that*cv + u
+		cv = r.ceilT(vNext)
+	}
+	// cv is ceilT(v ⊕ u) now: without a snap it equals cw.
+	if r.ceilT(vNext+cl) != cv {
+		return cw, r.that*cv + cl
+	}
+	return cw, vNext + cl
 }
 
 // groups returns g(k,l,V) = ceil((V + U(k,l)) / T̂), the number of
@@ -478,13 +509,14 @@ func (r *dpRun) groups(k, l int, v float64) int {
 	return r.groupsU(v, r.c.U(k, l))
 }
 
-// groupsU is groups with U(k,l) already in hand (the hot loop has it).
+// groupsU is groups with U(k,l) already in hand.
 func (r *dpRun) groupsU(v, u float64) int {
-	g := int(r.ceilT(v + u))
-	if g < 1 {
-		g = 1
-	}
-	return g
+	return groupCount(r.ceilT(v + u))
+}
+
+// groupCount is a group count from its ceilT value: at least one.
+func groupCount(c float64) int {
+	return max(int(c), 1)
 }
 
 // stageMem evaluates the stage memory M(k,l,g) from the hoisted prefix
@@ -499,6 +531,45 @@ func (r *dpRun) stageMem(k, l, g int) float64 {
 		m += r.twoA[l]
 	}
 	return m
+}
+
+// childFloor is the work-conservation floor on the value of a child
+// state over the prefix [1, kc] with special-processor load tP, spread
+// through inv = 1/(processors the child has left). Every DP value
+// T(l, p, t_P, ·) is the largest of p+1 processor loads (p normal
+// stages and the special processor) that together carry at least
+// U(1,l) + t_P, so T >= (U(1,l) + t_P)/(p+1), by induction over the
+// recurrence:
+//
+//   - base case (p == 0): the value is U(1,l) + t_P itself; l == 0: t_P;
+//   - normal cut: max(u, sub) >= (u + p·sub)/(p+1), and the child's
+//     floor carries U(1,k-1) + t_P over p processors;
+//   - special cut: the child's load t_P' snaps U(k,l) + t_P up to the
+//     t_P grid, so it carries U(1,l) + t_P over p+1 processors again —
+//     unless it clamps at the grid top, where the candidate's own
+//     t_P' = TotalU already covers (U(1,l) + t_P)/(p+1) for p >= 1;
+//   - memory death only raises values to +Inf, and certificates adopt
+//     true values.
+//
+// A cut whose child floor meets the incumbent cannot strictly improve
+// it, so the solvers skip the child without changing any value or
+// decision.
+//
+// The bound holds in real arithmetic; the float recurrence loses a
+// little per layer, and floorSlack covers it. Let top be the t_P grid's
+// top value (≈ TotalU). Per layer, roundUp's 1e-9 epsilon may round
+// t_P' down by up to 1e-9·stepT, and five operations — the prefix
+// difference u, the sum t_P + u, and roundUp's division, epsilon
+// subtraction and grid product — each round by at most 2^-53 relative:
+// under 5.6e-16·(TotalU + top) together. floorSlack is
+// 1.001e-9·stepT + 1e-15·(TotalU + top), so a child over kc >= 1 layers
+// keeps a surplus of at least 1e-12·stepT + 4.4e-16·(TotalU + top),
+// over 2.3e-15·(TotalU + top) since Discretization caps TP at 256. That
+// absorbs the five roundings of this expression and of inv (again
+// under 5.6e-16·(TotalU + top)). A child over kc == 0 layers needs no
+// slack: its value is tP exactly, and tP·inv <= tP.
+func (r *dpRun) childFloor(kc int, tP, inv float64) float64 {
+	return (r.uTo[kc] + tP - float64(kc)*r.floorSlack) * inv
 }
 
 // hoistKey identifies the inputs the hoisted slices are derived from.
@@ -533,6 +604,7 @@ func (r *dpRun) init() {
 		w = chain.TwoBufferedWeights()
 	}
 	r.wFixed, r.wPerBatch = w.Fixed, w.PerBatch
+	r.floorSlack = 1.001e-9*r.stepT + 1e-15*(c.TotalU()+float64(r.nT-1)*r.stepT)
 	h := &hoistCache{} // map-fallback runs have no table to cache on
 	if r.tab != nil {
 		h = &r.tab.hoist
@@ -680,7 +752,16 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			continue
 		}
 
+		// Per-frame factors of the children's work-conservation floors
+		// (childFloor): a normal child has p processors left, a special
+		// child p+1. cv is ceilT(v), the inline arm's cutDelay argument.
+		invP, invP1 := 1/float64(p), 1/float64(p+1)
+		var cv float64
+		if !cc.on {
+			cv = r.ceilT(v)
+		}
 		pushed := false
+	cuts:
 		for k := int(f.k); k >= 1; k-- {
 			u := r.uTo[l] - r.uTo[k-1]
 			if f.stage == 0 && u >= f.best.period {
@@ -701,7 +782,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			cl := r.cLeft[k]
 			// Per-cut scalars: from the monotone cut-point columns when
 			// the cache fits, recomputed inline otherwise. Both arms run
-			// the identical reference expressions (see columns.go), so the
+			// the identical expressions (cutDelay, see columns.go), so the
 			// decision stream is the same either way; only the column arm
 			// carries value-certificate intervals (dpRun.valOn).
 			var g, iVN int
@@ -731,8 +812,8 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					f.narrow(e.lo, e.hi)
 				}
 			} else {
-				g = r.groupsU(v, u)
-				vNext := r.oplus(r.oplus(v, u), cl)
+				cw, vNext := r.cutDelay(v, cv, u, cl)
+				g = groupCount(cw)
 				iVN = roundUp(vNext, r.stepV, r.nV)
 				smemN := r.stageMem(k, l, g)
 				normOK = smemN <= r.mem
@@ -744,19 +825,26 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 				}
 			}
 
-			if f.stage == 0 {
+			if f.stage == 0 && normOK {
 				// Assign stage [k,l] to a normal processor. The child is
 				// consulted only when the branch can still win: its
 				// candidate is max3(u, cl, sub) and the incumbent only
 				// improves on a strict decrease, so cl >= best (u < best is
-				// the monotone check above) decides the comparison without
-				// the lookup — or the child's whole subtree. The skip
-				// replays under a value certificate: cl is T̂-independent
-				// and the incumbent sequence is reproduced inductively.
-				if normOK && cl >= f.best.period {
-					f.memOK = true
-				} else if normOK {
-					f.memOK = true
+				// the monotone check above) or a child floor at or above
+				// best decides the comparison without the lookup — or the
+				// child's whole subtree. Both skips replay under a value
+				// certificate and a memory pin: cl and the floor depend on
+				// neither T̂ nor memory, and the incumbent sequence is
+				// reproduced inductively. memOK is set first; the floor
+				// needs a finite incumbent, so it never hides a death.
+				f.memOK = true
+				switch {
+				case cl >= f.best.period:
+				case r.childFloor(k-1, tP, invP) >= f.best.period:
+					if stats != nil {
+						stats.CutsSkippedFloor++
+					}
+				default:
 					sub, cidx, ok := r.childValue(k-1, p-1, int(f.itP), int(f.imP), iVN)
 					if !ok {
 						f.k = int32(k)
@@ -765,7 +853,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 							k: int32(k - 1), best: dpEntry{period: inf, k: -1}, fhi: inf,
 						})
 						pushed = true
-						break
+						break cuts
 					}
 					if valOn && cidx >= 0 {
 						if clo, chi, cok := r.tab.valRange(cidx, r.that); cok {
@@ -779,8 +867,8 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 						f.best = dpEntry{period: cand, k: int16(k)}
 					}
 				}
-				f.stage = 1
 			}
+			f.stage = 1
 
 			// Assign stage [k,l] to the special processor. Its memory is
 			// under-estimated with g-1 copies (Section 4.2.1); the
@@ -795,12 +883,19 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					f.memOK = true
 					itPN := roundUp(tP+u, r.stepT, r.nT)
 					tNext := float64(itPN) * r.stepT
-					// Same early decision as the normal branch: the
+					// Same early decisions as the normal branch: the
 					// candidate is max3(tNext, cl, sub), and tNext is
 					// T̂-independent (a T̂-free sum snapped to the t_P grid),
-					// so a floor at or above the incumbent settles the cut
-					// without touching the child.
+					// so tNext, cl or the child floor at or above the
+					// incumbent settles the cut without touching the child.
 					if tNext >= f.best.period || cl >= f.best.period {
+						f.stage = 0
+						continue
+					}
+					if r.childFloor(k-1, tNext, invP1) >= f.best.period {
+						if stats != nil {
+							stats.CutsSkippedFloor++
+						}
 						f.stage = 0
 						continue
 					}
@@ -816,7 +911,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 							k: int32(k - 1), best: dpEntry{period: inf, k: -1}, fhi: inf,
 						})
 						pushed = true
-						break
+						break cuts
 					}
 					if valOn && cidx >= 0 {
 						if clo, chi, cok := r.tab.valRange(cidx, r.that); cok {
@@ -1064,8 +1159,8 @@ func (r *dpRun) reconstruct(normals int) (*partition.Allocation, error) {
 		mP := float64(imP) * r.stepM
 		v := float64(iV) * r.stepV
 		u := r.uTo[l] - r.uTo[k-1]
-		g := r.groupsU(v, u)
-		vNext := r.oplus(r.oplus(v, u), r.cLeft[k])
+		cw, vNext := r.cutDelay(v, r.ceilT(v), u, r.cLeft[k])
+		g := groupCount(cw)
 		iV = roundUp(vNext, r.stepV, r.nV)
 		stages = append(stages, rev{span: chain.Span{From: k, To: l}, special: e.special})
 		if e.special {

@@ -27,8 +27,12 @@ func mapKey(l, p, itP, imP, iV int) uint64 {
 	return uint64(l) | uint64(p)<<16 | uint64(itP)<<32 | uint64(imP)<<40 | uint64(iV)<<48
 }
 
-// mapKeyMax is the largest l or p representable by mapKey.
-const mapKeyMax = 1<<16 - 1
+// MaxDPIndex is the largest chain length (in layers) and the largest
+// normal-processor count every MadPipe-DP path plans: mapKey packs each
+// into 16 bits, so the map fallback rejects larger shapes with an error.
+// Exported so API layers (internal/serve) can reject such requests at
+// admission, before building a chain or queueing a plan.
+const MaxDPIndex = 1<<16 - 1
 
 type mapRun struct {
 	dpRun
@@ -59,6 +63,7 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 	}
 
 	best := dpEntry{period: inf, k: -1}
+	invP, invP1 := 1/float64(p), 1/float64(p+1)
 	for k := l; k >= 1; k-- {
 		u := r.uTo[l] - r.uTo[k-1]
 		if u >= best.period {
@@ -75,9 +80,10 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 		// only when the branch can still win: the candidate is
 		// max(u, cLeft, sub) and the incumbent only improves on a strict
 		// decrease, so cLeft >= best (u < best is the monotone check
-		// above) decides the comparison without descending. The table
-		// solver applies the identical skip, keeping traversals aligned.
-		if r.stageMem(k, l, g) <= r.mem && cLeft < best.period {
+		// above) or a child floor (childFloor) at or above best decides
+		// the comparison without descending. The table solver applies the
+		// identical skips, keeping traversals aligned.
+		if r.stageMem(k, l, g) <= r.mem && cLeft < best.period && r.childFloor(k-1, tP, invP) < best.period {
 			sub := r.solveRec(k-1, p-1, itP, imP, iVN)
 			cand := math.Max(u, math.Max(cLeft, sub))
 			if cand < best.period {
@@ -87,15 +93,16 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 
 		// Assign stage [k,l] to the special processor. Its memory is
 		// under-estimated with g-1 copies (Section 4.2.1); the scheduling
-		// phase repairs the difference. Same early decision: the candidate
-		// is max(tNext, cLeft, sub), so a floor at or above the incumbent
-		// settles the cut without descending.
+		// phase repairs the difference. Same early decisions: the
+		// candidate is max(tNext, cLeft, sub), so tNext, cLeft or the
+		// child floor at or above the incumbent settles the cut without
+		// descending.
 		if !r.disableSpecial {
 			mNext := mP + r.stageMem(k, l, g-1)
 			if mNext <= r.mem {
 				itPN := roundUp(tP+u, r.stepT, r.nT)
 				tNext := float64(itPN) * r.stepT
-				if tNext >= best.period || cLeft >= best.period {
+				if tNext >= best.period || cLeft >= best.period || r.childFloor(k-1, tNext, invP1) >= best.period {
 					continue
 				}
 				imPN := roundUp(mNext, r.stepM, r.nM)
@@ -124,10 +131,27 @@ func runDPMap(c *chain.Chain, plat platform.Platform, that float64, disc Discret
 	if disableSpecial {
 		normals = plat.Workers
 	}
-	if c.Len() > mapKeyMax || normals > mapKeyMax {
+	if c.Len() > MaxDPIndex || normals > MaxDPIndex {
 		return nil, fmt.Errorf("core: chain length %d or processor count %d exceeds the DP state packing limit %d",
-			c.Len(), normals, mapKeyMax)
+			c.Len(), normals, MaxDPIndex)
 	}
+	r := newMapRun(c, plat, that, disc, disableSpecial, weights)
+	period := r.solveRec(c.Len(), normals, 0, 0, 0)
+	res := &DPResult{Period: period, States: len(r.memo)}
+	if period == inf {
+		return res, nil
+	}
+	alloc, err := r.reconstructMap(normals)
+	if err != nil {
+		return nil, err
+	}
+	res.Alloc = alloc
+	return res, nil
+}
+
+// newMapRun prepares a map-memoized run: grid steps, hoisted prefix
+// slices and an empty memo.
+func newMapRun(c *chain.Chain, plat platform.Platform, that float64, disc Discretization, disableSpecial bool, weights chain.WeightPolicy) *mapRun {
 	totalU := c.TotalU()
 	r := &mapRun{
 		dpRun: dpRun{
@@ -142,17 +166,7 @@ func runDPMap(c *chain.Chain, plat platform.Platform, that float64, disc Discret
 		memo: make(map[uint64]dpEntry),
 	}
 	r.init()
-	period := r.solveRec(c.Len(), normals, 0, 0, 0)
-	res := &DPResult{Period: period, States: len(r.memo)}
-	if period == inf {
-		return res, nil
-	}
-	alloc, err := r.reconstructMap(normals)
-	if err != nil {
-		return nil, err
-	}
-	res.Alloc = alloc
-	return res, nil
+	return r
 }
 
 // reconstructMap is reconstruct over the map memo.

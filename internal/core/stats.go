@@ -17,6 +17,8 @@ import (
 //
 //   - CutsSkippedMonotone: cut positions abandoned by the monotone
 //     U(k,l) >= best break in the cut loop.
+//   - CutsSkippedFloor: children skipped because their
+//     work-conservation floor already meets the incumbent.
 //   - GmaxMemoHits: normal-branch memory thresholds answered by the
 //     cross-probe T̂-independent gmax memo instead of bisection.
 //   - StatesCertPruned: states settled at +Inf by a cross-probe
@@ -51,6 +53,13 @@ type DPStats struct {
 	// CutsSkippedMonotone counts cut positions abandoned by the
 	// monotone bottleneck break (U only grows as k decreases).
 	CutsSkippedMonotone uint64 `json:"cuts_skipped_monotone"`
+	// CutsSkippedFloor counts child lookups (normal or special branch)
+	// the cut loop skipped because the child's work-conservation floor —
+	// its remaining work U(1,k-1) plus its special-processor load, spread
+	// over the processors it has left, less a rounding slack (childFloor)
+	// — already met the incumbent, so the cut could not strictly improve
+	// it. A cut can count twice, once per branch.
+	CutsSkippedFloor uint64 `json:"cuts_skipped_floor"`
 	// GmaxMemoHits / GmaxComputed split column-threshold lookups into
 	// cross-probe memo answers and fresh bisections.
 	GmaxMemoHits uint64 `json:"gmax_memo_hits"`
@@ -81,6 +90,7 @@ func (s *DPStats) add(o *DPStats) {
 	s.HoistReuses += o.HoistReuses
 	s.CutsEvaluated += o.CutsEvaluated
 	s.CutsSkippedMonotone += o.CutsSkippedMonotone
+	s.CutsSkippedFloor += o.CutsSkippedFloor
 	s.GmaxMemoHits += o.GmaxMemoHits
 	s.GmaxComputed += o.GmaxComputed
 	s.ColumnsOpened += o.ColumnsOpened
@@ -112,6 +122,7 @@ func (s *DPStats) flush(reg *obs.Registry) {
 	reg.Counter("dp_hoist_reuses").Add(s.HoistReuses)
 	reg.Counter("dp_cuts_evaluated").Add(s.CutsEvaluated)
 	reg.Counter("dp_cuts_skipped_monotone").Add(s.CutsSkippedMonotone)
+	reg.Counter("dp_cuts_skipped_floor").Add(s.CutsSkippedFloor)
 	reg.Counter("dp_gmax_memo_hits").Add(s.GmaxMemoHits)
 	reg.Counter("dp_gmax_computed").Add(s.GmaxComputed)
 	reg.Counter("dp_columns_opened").Add(s.ColumnsOpened)

@@ -157,9 +157,15 @@ func tableStates(l, normals, nT, nM, nV int) int {
 }
 
 // tableFits reports whether the table can represent the shape at all;
-// beyond it the map DP runs.
+// beyond it the map DP runs, which rejects normals past MaxDPIndex. That
+// bound also keeps tableStates from overflowing: with the grid sizes
+// Discretization.validate admits and l <= tableMaxL the product stays
+// under 2^52, where an unbounded worker count would wrap it negative.
 func tableFits(l, normals, nT, nM, nV int) bool {
-	return l <= tableMaxL && tableStates(l, normals, nT, nM, nV) <= tableMaxStates
+	if l > tableMaxL || normals > MaxDPIndex {
+		return false
+	}
+	return tableStates(l, normals, nT, nM, nV) <= tableMaxStates
 }
 
 // reset prepares the table for one DP run over the given shape, keeping

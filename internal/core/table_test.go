@@ -98,7 +98,7 @@ func TestLongChainNoAliasing(t *testing.T) {
 // TestMapKeyGuard: chains beyond the widened packing limit are rejected
 // with a clear error instead of aliasing states.
 func TestMapKeyGuard(t *testing.T) {
-	c := chain.Uniform(mapKeyMax+1, 1, 1, 1, 1)
+	c := chain.Uniform(MaxDPIndex+1, 1, 1, 1, 1)
 	_, err := runDPMap(c, plat(4, 1e12, 1e12), 1e3, Discretization{TP: 2, MP: 2, V: 2}, false, chain.WeightPolicy{})
 	if err == nil || !strings.Contains(err.Error(), "packing limit") {
 		t.Fatalf("expected packing-limit error, got %v", err)
@@ -225,6 +225,36 @@ func TestDenseFallback(t *testing.T) {
 	}
 	if a.Period != b.Period || a.States != b.States {
 		t.Fatalf("table path (period %g) disagrees with map path (period %g)", a.Period, b.Period)
+	}
+}
+
+// TestHugeWorkerCountRejected: a worker count whose packed state count
+// overflows int must not slip past tableFits — it used to wrap negative,
+// pass the bound and panic in dpTable.reset (2^54+1 workers), or plan on
+// wrapped indices and return a plan (2^55+9). Both shapes now route to
+// the map DP, which rejects them at its packing limit.
+func TestHugeWorkerCountRejected(t *testing.T) {
+	c := chain.Uniform(7, 1e-3, 2e-3, 1e6, 1e6)
+	disc := Discretization{TP: 4, MP: 4, V: 4}
+	for _, workers := range []int{1<<54 + 1, 1<<55 + 9} {
+		if tableFits(c.Len(), workers-1, disc.TP, disc.MP, disc.V) {
+			t.Errorf("workers %d: tableFits accepted the shape", workers)
+		}
+		pl := plat(workers, 1e12, 1e12)
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("workers %d: panic: %v", workers, p)
+				}
+			}()
+			res, err := PlanAllocation(c, pl, Options{Disc: disc, Parallel: 1})
+			if err == nil || !strings.Contains(err.Error(), "packing limit") {
+				t.Errorf("workers %d: got plan %v, err %v; want a packing-limit error", workers, res, err)
+			}
+		}()
+	}
+	if !tableFits(c.Len(), MaxDPIndex, disc.TP, disc.MP, disc.V) {
+		t.Errorf("tableFits rejected a shape inside the packing limit")
 	}
 }
 

@@ -32,6 +32,9 @@ const (
 // bytes and bytes/second, matching the core model and PlanReport; the
 // *GB convenience fields multiply by 1e9 when the byte field is zero.
 type PlatformSpec struct {
+	// Workers is the processor count, at most core.MaxDPIndex (the DP's
+	// normal-processor packing limit); larger counts are rejected with a
+	// 400.
 	Workers     int     `json:"workers"`
 	Memory      float64 `json:"memory,omitempty"`
 	MemoryGB    float64 `json:"memory_gb,omitempty"`
@@ -61,7 +64,9 @@ type NetSpec struct {
 	Size  int    `json:"size,omitempty"`  // default 1000
 	// Blocks and Granularity apply to transformer presets (gpt2,
 	// gpt2-xl, llama7b): decoder-block count override and chain layers
-	// per block (1..8). Ignored for the CNN profiles.
+	// per block (1..8). The chain's blocks × granularity + 2 layers must
+	// stay within core.MaxDPIndex, or the request is a 400. Ignored for
+	// the CNN profiles.
 	Blocks      int `json:"blocks,omitempty"`
 	Granularity int `json:"granularity,omitempty"`
 }
@@ -224,6 +229,13 @@ func resolveChain(c *chain.Chain, net *NetSpec) (*chain.Chain, error) {
 			}
 			if net.Granularity >= 1 {
 				ts.Granularity = net.Granularity
+			}
+			// Checked before the build allocates the layers: the chain has
+			// one embedding and one head layer around the blocks, and the
+			// preset's granularity (8) is only ever replaced by one >= 1.
+			if ts.Blocks > (core.MaxDPIndex-2)/ts.Granularity {
+				return nil, fmt.Errorf("blocks × granularity + 2 must be at most %d layers (the planner's chain limit), got blocks %d at granularity %d",
+					core.MaxDPIndex, ts.Blocks, ts.Granularity)
 			}
 			return nets.BuildTransformer(ts)
 		}

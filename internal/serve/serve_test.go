@@ -467,7 +467,17 @@ func TestServeDrain(t *testing.T) {
 // on a repeat too, and leave no body alias behind.
 func TestServeBadRequests(t *testing.T) {
 	srv, hs := newTestServer(t, Config{Workers: 1})
+	// 2^54+1 workers on a 4×4×4 grid wrapped the DP's packed state count
+	// negative and panicked the worker goroutine, taking the daemon down.
+	hugeWorkers, err := json.Marshal(PlanRequest{Chain: testChain(7, 1),
+		Platform: PlatformSpec{Workers: 1<<54 + 1, Memory: 8e9, Bandwidth: 1.2e10},
+		Options:  OptionsSpec{DiscTP: 4, DiscMP: 4, DiscV: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, body := range map[string]string{
+		"huge workers":      string(hugeWorkers),
+		"huge blocks":       `{"net":{"name":"gpt2","blocks":1000000000000,"granularity":8},"platform":{"workers":16,"memory_gb":1800,"bandwidth_gb":300}}`,
 		"not json":          "{",
 		"unknown field":     `{"nets":{"name":"resnet50"}}`,
 		"no chain":          `{"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12}}`,
@@ -501,6 +511,8 @@ func TestServeBadRequests(t *testing.T) {
 				"negative iters":    "iterations",
 				"too many iters":    "iterations",
 				"negative parallel": "parallel",
+				"huge workers":      "workers",
+				"huge blocks":       "blocks",
 			} {
 				if name == field && !strings.Contains(er.Error, want) {
 					t.Errorf("%s #%d: error %q does not name %s", name, attempt, er.Error, want)

@@ -575,6 +575,9 @@ func (s *Server) resolve(c *chain.Chain, net *NetSpec, ps PlatformSpec, os Optio
 	if err := plat.Validate(); err != nil {
 		return nil, platform.Platform{}, core.Options{}, err
 	}
+	if plat.Workers > core.MaxDPIndex {
+		return nil, platform.Platform{}, core.Options{}, fmt.Errorf("workers must be at most %d (the planner's processor limit), got %d", core.MaxDPIndex, plat.Workers)
+	}
 	if os.MaxChain < 0 {
 		return nil, platform.Platform{}, core.Options{}, fmt.Errorf("max_chain must be >= 0, got %d", os.MaxChain)
 	}

@@ -78,7 +78,8 @@ go run ./cmd/benchdiff -bench 'BenchmarkMadPipeDP$|BenchmarkAlgorithm1$|Benchmar
 
 # The sweep's probe count is an exact function of the grid and the
 # dominance machinery: any drift is a planner-behavior change and fails
-# the gate outright. Wall time on the same series stays advisory.
+# the gate outright (at -threshold 0 benchdiff fails a move in either
+# direction). Wall time on the same series stays advisory.
 echo "== sweep probe-count regression check (gate: probes/op, exact)"
 go run ./cmd/benchdiff -bench 'BenchmarkFig7Sweep$' -benchtime 1x -write=false -gate probes -threshold 0
 
@@ -101,8 +102,8 @@ go run ./cmd/benchdiff -bench 'BenchmarkGPTCoarsen$' -benchtime 1x -write=false 
 
 # The raw (uncoarsened) transformer path plans 2050 layers on blocked
 # storage through the 4-way probe fan: states/op pins the search's DP
-# work — a drift is a solver-behavior change and fails the gate
-# outright. blocksalloc/op stays advisory, as does ns/op; the
+# work — a drift in either direction is a solver-behavior change and
+# fails the gate outright. blocksalloc/op stays advisory, as does ns/op; the
 # resident/virtual bound is gated by
 # TestTransformerLongChainPlan. This is the most expensive gate in the
 # file (one concurrent probe round over a 36M-state virtual table,
@@ -110,15 +111,22 @@ go run ./cmd/benchdiff -bench 'BenchmarkGPTCoarsen$' -benchtime 1x -write=false 
 echo "== raw transformer blocked-parallel regression check (gate: states/op + rawlayers/op, exact)"
 go run ./cmd/benchdiff -bench 'BenchmarkGPTRawParallel$' -benchtime 1x -write=false -gate states/op,rawlayers/op -threshold 0
 
-# Value certificates are armed only on chains the cut-column cache
-# covers (colMaxL layers), where a column entry computes each cut's
-# validity interval once; past it the interval would run on every cut
-# visit. A raw 1026-layer probe must therefore record none. Pinned by a
-# hard grep, since benchdiff cannot gate a zero baseline.
-echo "== raw long-chain probe (gate: 0 valcerts/op, exact)"
-RAW_PROBE="$(go test -run '^$' -bench 'BenchmarkGPTRawProbe$' -benchtime 1x .)"
+# One raw 1026-layer probe (the shape of every serve_gpt2_raw plan):
+# states/op and cuts/op are exact functions of the input, so any drift —
+# up or down — is a solver-behavior change and fails outright, and
+# floorskip/op (children the work-conservation floor skipped) prints
+# beside them. Value certificates are armed only on chains the
+# cut-column cache covers (colMaxL layers), where a column entry
+# computes each cut's validity interval once; past it the interval
+# would run on every cut visit. The probe must therefore record none,
+# pinned by a hard check on the run's own valcerts/op value (whatever
+# the snapshot holds).
+echo "== raw long-chain probe (gate: states/op + cuts/op exact, 0 valcerts/op)"
+RAW_FAIL=
+RAW_PROBE="$(go run ./cmd/benchdiff -bench 'BenchmarkGPTRawProbe$' -benchtime 1x -write=false -gate states/op,cuts/op -threshold 0)" || RAW_FAIL=1
 echo "$RAW_PROBE"
-echo "$RAW_PROBE" | grep 'GPTRawProbe' | grep -q ' 0 valcerts/op' || {
+[ -z "$RAW_FAIL" ] || { echo "raw long-chain probe work drifted from the snapshot"; exit 1; }
+[ "$(echo "$RAW_PROBE" | awk '$1 == "GPTRawProbe" && $2 == "valcerts/op" { print $4 }')" = 0 ] || {
 	echo "a raw long-chain probe recorded value certificates; the inline cut path re-armed them"
 	exit 1
 }
@@ -135,9 +143,9 @@ go run ./cmd/benchdiff -bench 'BenchmarkServeLoad1$' -benchtime 1x -write=false 
 # when on: with no Registry every obs hook is a nil-receiver no-op
 # behind one pointer check, and the enabled span/histogram/flight fold
 # runs entirely on preallocated atomics and rings. Both paths are
-# pinned at exactly 0 allocs/op by hard greps (benchdiff cannot gate a
-# zero baseline); the benchdiff run keeps the ns/op delta visible for
-# review.
+# pinned at exactly 0 allocs/op by hard greps, whatever the snapshot
+# holds; the benchdiff run gates allocs/op against the snapshot exactly
+# and keeps the ns/op delta visible for review.
 echo "== serving observability overhead (both paths: 0 allocs/op, exact)"
 OBS_BENCH="$(go test -run '^$' -bench 'BenchmarkServeObsOverhead' -benchmem -benchtime 1000x .)"
 echo "$OBS_BENCH"
