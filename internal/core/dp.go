@@ -142,7 +142,7 @@ type dpRun struct {
 	stats    *DPStats
 	statsBuf DPStats
 
-	// Memory-interval tracking (frontier mode; see frontier.go). When
+	// Memory-interval tracking (frontier mode; see frontier.go). While
 	// mtrack is set, every memory-dependent operation the run executes —
 	// normal-branch and special-branch memory checks, the m_P grid
 	// rounding of child states, the base-case check — narrows
@@ -154,18 +154,19 @@ type dpRun struct {
 	// contributing to the answer executes within this probe: the moment
 	// the run adopts a cross-probe certificate — a state settled by a
 	// death or value certificate recorded by an earlier probe, whose
-	// memory constraints this run never re-executed — mAdopted marks the
-	// interval untrustworthy and runDPWith collapses the claim to the
-	// single limit the run verified. Certificates never change answers
-	// (TestCertReuseMatchesColdProbes), so adoption stays armed in
-	// frontier mode for its ~3x probe speedup; wide intervals then come
-	// from certificate-free runs (cold tables, first probes, and chains
-	// past colMaxL that adopt no death certificate, since value
-	// certificates are off there) and from the frontier store's monotone
-	// bracket merging (hint.go), which needs no tracked width at all.
+	// memory constraints this run never re-executed — childValue clears
+	// mtrack, and the run claims only the single limit it verified
+	// (mtrackInterval). No later pin could widen that claim, so none is
+	// made: solve, baseCase and reconstruct test mtrack before every pin.
+	// Certificates never change answers (TestCertReuseMatchesColdProbes),
+	// so adoption stays armed in frontier mode for its ~3x probe
+	// speedup; wide intervals then come from certificate-free runs (cold
+	// tables, first probes, and chains past colMaxL that adopt no death
+	// certificate, since value certificates are off there) and from the
+	// frontier store's monotone bracket merging (hint.go), which needs no
+	// tracked width at all.
 	mtrack     bool
 	pmlo, pmhi float64
-	mAdopted   bool
 }
 
 // mPinLo raises the tracked interval's lower edge: the probe's outcome
@@ -200,6 +201,9 @@ func (r *dpRun) mPinHi(hi float64) {
 // comparison at M' is direct, so the pin is exact: a pass holds for all
 // M' >= smemN, a failure for all M' < smemN. No epsilon is needed.
 func (r *dpRun) mPinNorm(smemN float64, pass bool) {
+	if st := r.stats; st != nil {
+		st.MemPins++
+	}
 	if pass {
 		r.mPinLo(smemN)
 	} else {
@@ -217,6 +221,9 @@ func (r *dpRun) mPinNorm(smemN float64, pass bool) {
 // (imP == nM-1) makes the threshold degenerate; the pin collapses to
 // the current limit alone.
 func (r *dpRun) mPinSpecial(imP int, smem float64, pass bool) {
+	if st := r.stats; st != nil {
+		st.MemPins++
+	}
 	q := float64(r.nM-1-imP) / float64(r.nM-1)
 	if q <= 0 {
 		// Grid-top index: mP' is the limit itself up to rounding
@@ -253,6 +260,9 @@ func (r *dpRun) mPinSpecial(imP int, smem float64, pass bool) {
 // the upper bound applies; c == 0 needs no upper bound (x >= 0 always
 // rounds to at least 0). Margins as in mPinSpecial.
 func (r *dpRun) mPinRound(imP, imPN int, smem float64) {
+	if st := r.stats; st != nil {
+		st.MemPins++
+	}
 	c := float64(imPN - imP)
 	scaled := smem * float64(r.nM-1)
 	if imPN < r.nM-1 {
@@ -684,7 +694,7 @@ func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, int, bool) {
 		if st := r.stats; st != nil {
 			st.StatesCertPruned++
 		}
-		r.mAdopted = true
+		r.mtrack = false
 		r.tab.putAdopted(idx, dpEntry{period: inf, k: -1})
 		if r.valOn {
 			r.tab.valPutDead(idx, r.that)
@@ -696,7 +706,7 @@ func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, int, bool) {
 			if st := r.stats; st != nil {
 				st.StatesValReused++
 			}
-			r.mAdopted = true
+			r.mtrack = false
 			r.tab.putAdopted(idx, e)
 			return e.period, idx, true
 		}
@@ -991,7 +1001,7 @@ type dpConfig struct {
 	// mtrack enables memory-interval tracking for the frontier solver
 	// (frontier.go): the run accumulates the widest [MLo, MHi) on which
 	// its answer replays; a run that adopts a cross-probe certificate
-	// collapses the claim to its own limit (see dpRun.mAdopted).
+	// collapses the claim to its own limit (see dpRun.mtrack).
 	mtrack bool
 }
 
@@ -1081,7 +1091,7 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 		st.flush(cfg.obs)
 	}
 	if period == inf {
-		if r.mtrack {
+		if cfg.mtrack {
 			res.MLo, res.MHi = r.mtrackInterval()
 		}
 		return res, nil
@@ -1091,7 +1101,7 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 		return nil, err
 	}
 	res.Alloc = alloc
-	if r.mtrack {
+	if cfg.mtrack {
 		// Reconstruction replays grid roundings and may pin further; read
 		// the accumulator only after it completes.
 		res.MLo, res.MHi = r.mtrackInterval()
@@ -1102,13 +1112,13 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 // mtrackInterval is the memory interval a tracked run may claim: the
 // accumulated [pmlo, pmhi) when every contributing operation ran within
 // this probe, or the bare verified limit when any state was adopted
-// from a cross-probe certificate (see dpRun.mAdopted). The upper edge
-// is clamped to just above the verified limit either way: the raw edge
-// can genuinely extend higher, but the frontier only walks downward,
-// and capping keeps every relative noise bound in the pin derivations
-// valid over the whole claimed range.
+// from a cross-probe certificate, which cleared mtrack (see
+// dpRun.mtrack). The upper edge is clamped to just above the verified
+// limit either way: the raw edge can genuinely extend higher, but the
+// frontier only walks downward, and capping keeps every relative noise
+// bound in the pin derivations valid over the whole claimed range.
 func (r *dpRun) mtrackInterval() (float64, float64) {
-	if r.mAdopted {
+	if !r.mtrack {
 		return r.mem, math.Nextafter(r.mem, inf)
 	}
 	hi := math.Nextafter(r.mem, inf)

@@ -233,3 +233,75 @@ func TestBracketCandidatesDegenerate(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontierProbeClaimsReplay checks each frontier-mode probe's own
+// memory claim on one certificate-armed table, probe by probe: a probe
+// that adopted a cross-probe certificate claims exactly the limit it ran
+// at, and every other probe replays at the bottom of its claim — a
+// cold, certificate-free DP at MLo returns the same period, spans and
+// processors. The targets revisit the search range in both directions,
+// so later probes adopt death and value certificates of earlier ones.
+func TestFrontierProbeClaimsReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	disc := Discretization{TP: 9, MP: 5, V: 9}
+	var adopted, replayed int
+	for trial := 0; trial < 12; trial++ {
+		c := chain.Random(rng, 4+rng.Intn(8), chain.DefaultRandomOptions())
+		pl := plat(3+rng.Intn(3), 2e9+rng.Float64()*6e9, 12e9)
+		lo, hi := c.TotalU()/float64(pl.Workers), c.TotalU()+c.TotalCommTimeAlphaBeta(pl.Latency, pl.Bandwidth)
+		for _, contig := range []bool{false, true} {
+			tab := new(dpTable)
+			tab.certArm(pl.Memory)
+			cfg := dpConfig{disc: disc, disableSpecial: contig, obs: obs.NewRegistry(), mtrack: true}
+			for i := 0; i < 10; i++ {
+				that := lo + (hi-lo)*rng.Float64()
+				res, err := runDPWith(tab, c, pl, that, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stats.StatesCertPruned+res.Stats.StatesValReused > 0 {
+					adopted++
+					if res.MLo != pl.Memory || res.MHi != math.Nextafter(pl.Memory, inf) {
+						t.Fatalf("trial %d contiguous=%v T̂=%g: adopting probe claims [%g, %g), want [%g, nextafter)",
+							trial, contig, that, res.MLo, res.MHi, pl.Memory)
+					}
+					continue
+				}
+				if res.MLo > pl.Memory || res.MHi <= pl.Memory {
+					t.Fatalf("trial %d T̂=%g: claim [%g, %g) excludes the run's limit %g", trial, that, res.MLo, res.MHi, pl.Memory)
+				}
+				if res.MLo == pl.Memory {
+					continue
+				}
+				replayed++
+				// runDPWith, not DP: a probe whose every memory check failed
+				// claims down to 0 bytes, a limit DP's platform check refuses.
+				at := pl
+				at.Memory = res.MLo
+				cold, err := runDPWith(new(dpTable), c, at, that, dpConfig{disc: disc, disableSpecial: contig})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cold.Period != res.Period || (cold.Alloc == nil) != (res.Alloc == nil) {
+					t.Fatalf("trial %d contiguous=%v T̂=%g: probe at %g returned %g, cold DP at MLo=%g returned %g",
+						trial, contig, that, pl.Memory, res.Period, res.MLo, cold.Period)
+				}
+				if res.Alloc == nil {
+					continue
+				}
+				if len(cold.Alloc.Spans) != len(res.Alloc.Spans) {
+					t.Fatalf("trial %d T̂=%g: %d stages at MLo, %d at the probe's limit", trial, that, len(cold.Alloc.Spans), len(res.Alloc.Spans))
+				}
+				for j := range res.Alloc.Spans {
+					if cold.Alloc.Spans[j] != res.Alloc.Spans[j] || cold.Alloc.Procs[j] != res.Alloc.Procs[j] {
+						t.Fatalf("trial %d T̂=%g: stage %d differs at MLo=%g", trial, that, j, res.MLo)
+					}
+				}
+			}
+		}
+	}
+	if adopted == 0 || replayed == 0 {
+		t.Fatalf("test setup: %d adopting probes, %d replayed claims; need both", adopted, replayed)
+	}
+	t.Logf("%d adopting probes, %d claims replayed at MLo", adopted, replayed)
+}

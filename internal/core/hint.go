@@ -65,7 +65,7 @@ type Hint struct {
 	// frontier arms the feasible-probe store (armFrontier): searches run
 	// their DP probes with memory-interval tracking (sound per run even
 	// under certificate adoption — an adopting run collapses its claim
-	// to the limit it verified, see dpRun.mAdopted), and feasible probe
+	// to the limit it verified, see dpRun.mtrack), and feasible probe
 	// results are recorded with the half-open memory interval on which
 	// they provably replay, widened by monotone bracket merging.
 	// Infeasible probes keep using the floors above (their coverage —

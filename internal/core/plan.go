@@ -475,7 +475,7 @@ func newSearch(c *chain.Chain, plat platform.Platform, opts Options) *search {
 	// disabling it would make every frontier probe pay the full DP.
 	// Soundness of the tracked memory intervals is preserved per run
 	// instead: a probe that adopted any certificate collapses its claim
-	// to the limit it verified (dpRun.mAdopted), and the frontier store's
+	// to the limit it verified (dpRun.mtrack), and the frontier store's
 	// bracket merging re-widens coverage from outcome monotonicity alone.
 	s.cfg = dpConfig{disc: opts.Disc, disableSpecial: opts.DisableSpecial, weights: opts.Weights, obs: opts.Obs, mtrack: s.frontier}
 	s.slots[0].tab, s.tkey = leaseTableFor(c, plat, opts)

@@ -183,10 +183,10 @@ func TestPlanReportRoundTrip(t *testing.T) {
 // TestDPStatsAdd pins the fold semantics: add sums counters and maxes
 // the table high-water marks.
 func TestDPStatsAdd(t *testing.T) {
-	a := DPStats{StatesEvaluated: 5, TableResidentBytes: 9, CutsEvaluated: 3}
-	b := DPStats{StatesEvaluated: 7, TableResidentBytes: 4, CutsEvaluated: 2}
+	a := DPStats{StatesEvaluated: 5, TableResidentBytes: 9, CutsEvaluated: 3, MemPins: 1}
+	b := DPStats{StatesEvaluated: 7, TableResidentBytes: 4, CutsEvaluated: 2, MemPins: 6}
 	a.add(&b)
-	if a.StatesEvaluated != 12 || a.TableResidentBytes != 9 || a.CutsEvaluated != 5 {
+	if a.StatesEvaluated != 12 || a.TableResidentBytes != 9 || a.CutsEvaluated != 5 || a.MemPins != 7 {
 		t.Errorf("add: %+v", a)
 	}
 }

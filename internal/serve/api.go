@@ -195,15 +195,42 @@ type FrontierRequest struct {
 	MemsGB   []float64    `json:"mems_gb,omitempty"`
 }
 
-func (r *FrontierRequest) mems() []float64 {
-	if len(r.Mems) > 0 {
-		return r.Mems
+// MaxFrontierMems bounds a frontier request's memory ladder. Each rung
+// is one sample of the walk (at least a floor lookup, at most a full
+// Algorithm 1 search), so the ladder length is the request's cost; the
+// bound sits well above the densest ladder the repository plans (833
+// samples in BenchmarkFig7Frontier).
+const MaxFrontierMems = 4096
+
+// mems returns the request's memory ladder in bytes: Mems as sent, or
+// MemsGB scaled by 1e9. The ladder must be non-empty, at most
+// MaxFrontierMems long, and every rung finite and positive after the
+// scaling (a huge mems_gb rung overflows to +Inf); errors name the
+// field the ladder came from.
+func (r *FrontierRequest) mems() ([]float64, error) {
+	field, ms := "mems", r.Mems
+	if len(ms) == 0 {
+		field, ms = "mems_gb", r.MemsGB
 	}
-	ms := make([]float64, len(r.MemsGB))
-	for i, m := range r.MemsGB {
-		ms[i] = m * platform.GB
+	if len(ms) == 0 {
+		return nil, fmt.Errorf("frontier request needs a non-empty memory ladder (mems or mems_gb)")
 	}
-	return ms
+	if len(ms) > MaxFrontierMems {
+		return nil, fmt.Errorf("%s holds %d limits, at most %d allowed", field, len(ms), MaxFrontierMems)
+	}
+	if field == "mems_gb" {
+		gb := ms
+		ms = make([]float64, len(gb))
+		for i, m := range gb {
+			ms[i] = m * platform.GB
+		}
+	}
+	for i, m := range ms {
+		if !(m > 0) || math.IsInf(m, 1) {
+			return nil, fmt.Errorf("%s[%d] must be a finite positive memory limit, got %g bytes", field, i, m)
+		}
+	}
+	return ms, nil
 }
 
 // ErrorResponse is the body of every non-2xx response.

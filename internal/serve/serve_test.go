@@ -520,11 +520,40 @@ func TestServeBadRequests(t *testing.T) {
 			}
 		}
 	}
-	for attempt := 0; attempt < 2; attempt++ {
-		resp, _ := postJSON(t, hs.URL+"/v1/frontier", FrontierRequest{Chain: testChain(8, 1),
-			Platform: PlatformSpec{Workers: 4, Bandwidth: 1.2e10}})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("frontier without ladder #%d: status %d, want 400", attempt, resp.StatusCode)
+	// Ladder rungs are checked at the boundary: a non-positive rung used
+	// to reach the planner and answer 500, a mems_gb rung that overflows
+	// to +Inf was caught only as the platform's Memory, and the ladder
+	// length had no bound.
+	frontierBody := func(mems, memsGB []float64) string {
+		b, err := json.Marshal(FrontierRequest{Chain: testChain(8, 1),
+			Platform: PlatformSpec{Workers: 4, Bandwidth: 1.2e10}, Mems: mems, MemsGB: memsGB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	longLadder := make([]float64, MaxFrontierMems+1)
+	for i := range longLadder {
+		longLadder[i] = 8e9 - float64(i)*1e6
+	}
+	for _, tc := range []struct{ name, body, field string }{
+		{"frontier without ladder", frontierBody(nil, nil), "ladder"},
+		{"negative rung", frontierBody(nil, []float64{10, -1}), "mems_gb"},
+		{"overflowing rung", frontierBody(nil, []float64{1e300, 10}), "mems_gb"},
+		{"zero rung", frontierBody([]float64{8e9, 0}, nil), "mems"},
+		{"too long ladder", frontierBody(longLadder, nil), "mems"},
+	} {
+		for attempt := 0; attempt < 2; attempt++ {
+			resp, err := http.Post(hs.URL+"/v1/frontier", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var er ErrorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(rb, &er) != nil || !strings.Contains(er.Error, tc.field) {
+				t.Errorf("%s #%d: status %d, want a 400 naming %s: %s", tc.name, attempt, resp.StatusCode, tc.field, rb)
+			}
 		}
 	}
 	if st := srv.Stats(); st.Alias.Entries != 0 || st.Alias.Hits != 0 || st.Memo.Hits+st.Memo.Misses != 0 {

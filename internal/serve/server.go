@@ -470,9 +470,9 @@ func (s *Server) keyFrontier(body []byte) (fingerprint.Key, job, error) {
 	if err := decodeRequest(body, &req); err != nil {
 		return fingerprint.Key{}, nil, err
 	}
-	mems := req.mems()
-	if len(mems) == 0 {
-		return fingerprint.Key{}, nil, fmt.Errorf("frontier request needs a non-empty memory ladder (mems or mems_gb)")
+	mems, err := req.mems()
+	if err != nil {
+		return fingerprint.Key{}, nil, err
 	}
 	// The ladder replaces the platform's own memory limit (PlanFrontier
 	// ignores it; FrontierKey excludes it), so requests may omit it —
