@@ -45,8 +45,8 @@ bench-quick:
 # bench-warm runs the interleaved cold/warm reuse A/B (go test -count
 # alternates the Cold and Warm sweep benchmarks, so both sides see the
 # same thermal and cache conditions), prints the cold/warm column pairs
-# and snapshots a BENCH_<date>.json. Fails if the warm side reports no
-# live value-certificate reuse.
+# and snapshots a BENCH_<date>.json. Fails unless the warm side evaluates
+# strictly fewer DP states than the cold side.
 bench-warm:
 	$(GO) run ./cmd/benchdiff -bench 'BenchmarkAlgorithm1Sweep' -benchtime 3x -count 3 -warm
 

@@ -299,6 +299,10 @@ func BenchmarkMadPipeDPObs(b *testing.B) {
 	plat := benchPlat(8, 12, 12)
 	that := c.TotalU() / 8
 	reg := obs.NewRegistry()
+	// Untimed warm-up: see BenchmarkMadPipeDP.
+	if _, err := core.DP(c, plat, that, core.Options{Parallel: 1, Obs: reg}); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	var stats core.DPStats
 	for i := 0; i < b.N; i++ {
@@ -338,16 +342,16 @@ func BenchmarkAlgorithm1(b *testing.B) {
 // once at its maximal shape and later cells reslice instead of
 // regrowing). With warm=true the cells share a PlannerCache (fresh per
 // iteration, so b.N does not compound reuse), letting later cells adopt
-// the earlier cells' value and death certificates across P via the
-// p-outermost table layout; cold runs plan each cell from scratch. Reported metrics are deterministic:
-// states/op counts fresh DP evaluations, valreuse/op counts states
-// adopted from value certificates — the warm/cold gap is the reuse
-// layer's measured effect, and cmd/benchdiff gates on both (a change
-// that silently disables reuse zeroes valreuse/op and fails the gate).
+// the earlier cells' death certificates across P via the p-outermost
+// table layout; cold runs plan each cell from scratch. states/op counts
+// fresh DP evaluations and is deterministic: the warm/cold gap is the
+// reuse layer's measured effect, and cmd/benchdiff -warm fails unless
+// the Warm side evaluates strictly fewer states than the Cold side (a
+// change that silently disables reuse closes the gap).
 func algorithm1Sweep(b *testing.B, warm bool) {
 	c := benchChain(b, "inception")
 	reg := obs.NewRegistry()
-	sweep := func() (states, reused uint64) {
+	sweep := func() (states uint64) {
 		opts := core.Options{Parallel: 1, Obs: reg}
 		if warm {
 			opts.Cache = core.NewPlannerCache()
@@ -359,7 +363,6 @@ func algorithm1Sweep(b *testing.B, warm bool) {
 			}
 			for j := range res.Evals {
 				states += res.Evals[j].Stats.StatesEvaluated
-				reused += res.Evals[j].Stats.StatesValReused
 			}
 		}
 		if warm {
@@ -369,16 +372,15 @@ func algorithm1Sweep(b *testing.B, warm bool) {
 			// which measures a leak, not the reuse layer.
 			opts.Cache.Release(reg)
 		}
-		return states, reused
+		return states
 	}
 	sweep() // untimed warm-up: see BenchmarkMadPipeDP
 	b.ResetTimer()
-	var states, reused uint64
+	var states uint64
 	for i := 0; i < b.N; i++ {
-		states, reused = sweep()
+		states = sweep()
 	}
 	b.ReportMetric(float64(states), "states/op")
-	b.ReportMetric(float64(reused), "valreuse/op")
 }
 
 // BenchmarkAlgorithm1SweepCold is the reuse A/B baseline: every cell
@@ -420,6 +422,10 @@ func BenchmarkGPTCoarsen(b *testing.B) {
 		Disc:         core.Discretization{TP: 21, MP: 5, V: 21},
 		CoarsenGroup: 64,
 		Obs:          reg,
+	}
+	// Untimed warm-up: see BenchmarkMadPipeDP.
+	if _, err := core.PlanAllocation(c, plat, opts); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var states uint64
@@ -496,10 +502,6 @@ func BenchmarkGPTRawParallel(b *testing.B) {
 // states/op and cuts/op are exact work counters, and ns/state and
 // ns/cut the probe's per-unit costs. floorskip/op counts the children
 // the cut loop skipped on their work-conservation floor (exact too).
-// valcerts/op counts the value
-// certificates the probe recorded: chains past colMaxL record none
-// (dpRun.valOn), which scripts/verify.sh pins with a hard grep for
-// "0 valcerts/op".
 func BenchmarkGPTRawProbe(b *testing.B) {
 	ts, ok := nets.TransformerPreset("gpt2")
 	if !ok {
@@ -517,6 +519,10 @@ func BenchmarkGPTRawProbe(b *testing.B) {
 		Disc:       core.Discretization{TP: 21, MP: 5, V: 21},
 		Obs:        obs.NewRegistry(),
 	}
+	// Untimed warm-up: see BenchmarkMadPipeDP.
+	if _, err := core.PlanAllocation(c, plat, opts); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	var st core.DPStats
 	for i := 0; i < b.N; i++ {
@@ -530,7 +536,6 @@ func BenchmarkGPTRawProbe(b *testing.B) {
 	b.ReportMetric(float64(st.StatesEvaluated), "states/op")
 	b.ReportMetric(float64(st.CutsEvaluated), "cuts/op")
 	b.ReportMetric(float64(st.CutsSkippedFloor), "floorskip/op")
-	b.ReportMetric(float64(st.ValCertsRecorded), "valcerts/op")
 	b.ReportMetric(perOp/float64(st.StatesEvaluated), "ns/state")
 	b.ReportMetric(perOp/float64(st.CutsEvaluated), "ns/cut")
 }

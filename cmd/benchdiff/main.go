@@ -36,6 +36,13 @@
 // benchmarks are deterministic (fixed seeds), so allocs/op comparisons
 // are exact; ns/op carries machine noise — pick a threshold accordingly
 // or pin -benchtime.
+//
+// Every snapshot records the host it ran on (CPU model, logical CPUs,
+// GOMAXPROCS, GOOS/GOARCH). A baseline result from a snapshot with a
+// different host, or with none, prints its ns/op row as "other host"
+// with no delta and no verdict: timings from two machines say nothing
+// about the change. Allocation and exact-counter gates still apply,
+// since those counts do not depend on the machine.
 package main
 
 import (
@@ -56,9 +63,20 @@ import (
 type Snapshot struct {
 	Date      string   `json:"date"`
 	Go        string   `json:"go"`
+	Host      *Host    `json:"host,omitempty"`
 	Bench     string   `json:"bench"`
 	BenchTime string   `json:"benchtime"`
 	Results   []Result `json:"results"`
+}
+
+// Host identifies the machine a snapshot ran on. Snapshots written
+// before hosts were recorded have none.
+type Host struct {
+	CPU        string `json:"cpu"` // go test's "cpu:" line
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
 }
 
 // Result holds every metric of one benchmark, keyed by unit.
@@ -67,9 +85,11 @@ type Result struct {
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 	// From names the older snapshot a baseline result was taken from
-	// when the newest one lacks the benchmark (see baseline); never
-	// written.
+	// when the newest one lacks the benchmark (see baseline), and Host
+	// is the host of the snapshot the result was read from (see
+	// stampHost); neither is written.
 	From string `json:"-"`
+	Host *Host  `json:"-"`
 }
 
 func main() {
@@ -81,7 +101,7 @@ func main() {
 		write     = flag.Bool("write", true, "write BENCH_<date>.json after the run")
 		threshold = flag.Float64("threshold", 0.10, "relative regression tolerated on gated metrics; 0 fails any change in either direction")
 		gate      = flag.String("gate", "time,allocs", "comma list of metrics whose regressions fail the run: time, allocs, states, probes, bytes, or a literal unit such as states/op")
-		warm      = flag.Bool("warm", false, "print a Cold/Warm column pair for every <Name>Cold/<Name>Warm benchmark pair in this run, and fail unless each Warm side shows live reuse (valreuse/op > 0)")
+		warm      = flag.Bool("warm", false, "print a Cold/Warm column pair for every <Name>Cold/<Name>Warm benchmark pair in this run, and fail unless each Warm side shows live reuse (states/op strictly below the Cold side's)")
 		count     = flag.Int("count", 1, "value passed to go test -count; runs above 1 interleave the whole benchmark set (A/B pairs see the same machine conditions) and report per-metric means")
 	)
 	flag.Parse()
@@ -101,6 +121,7 @@ func main() {
 	cur := &Snapshot{
 		Date:      time.Now().Format("2006-01-02"),
 		Go:        runtime.Version(),
+		Host:      parseHost(out),
 		Bench:     *bench,
 		BenchTime: *benchtime,
 		Results:   results,
@@ -228,6 +249,20 @@ func parseBench(out string) []Result {
 	return results
 }
 
+// parseHost reads the CPU model from go test's "cpu:" header line and
+// completes it with this process's CPU count, GOMAXPROCS, GOOS and
+// GOARCH, which the go test child shares through the environment.
+func parseHost(out string) *Host {
+	h := &Host{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
+	for _, line := range strings.Split(out, "\n") {
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			h.CPU = strings.TrimSpace(cpu)
+			break
+		}
+	}
+	return h
+}
+
 // mergeRuns folds repeated results of the same benchmark (go test
 // -count above 1) into one entry per name: iterations sum, every metric
 // becomes the mean across runs. Order of first appearance is kept so
@@ -331,12 +366,27 @@ func readSnapshot(path string) (*Snapshot, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("benchdiff: %s: %w", path, err)
 	}
+	stampHost(&s)
 	return &s, nil
+}
+
+// stampHost records the snapshot's host on each of its results, so a
+// baseline assembled from several snapshots keeps every result's host.
+func stampHost(s *Snapshot) {
+	for i := range s.Results {
+		s.Results[i].Host = s.Host
+	}
+}
+
+// sameHost reports whether a baseline result ran on the current host.
+func sameHost(base, cur *Host) bool {
+	return base != nil && cur != nil && *base == *cur
 }
 
 // compare prints a delta table and reports whether any benchmark
 // regressed beyond the threshold on a gated lower-is-better metric — or,
-// at threshold 0, whether any gated metric moved at all.
+// at threshold 0, whether any gated metric moved at all. ns/op against a
+// baseline from another host (or one without a host) gets no verdict.
 func compare(prev, cur *Snapshot, prevPath string, threshold float64, gated map[string]bool) bool {
 	prevBy := map[string]Result{}
 	for _, r := range prev.Results {
@@ -356,6 +406,7 @@ func compare(prev, cur *Snapshot, prevPath string, threshold float64, gated map[
 		if p.From != "" {
 			fmt.Printf("%-28s baseline from %s\n", r.Name, p.From)
 		}
+		otherHost := !sameHost(p.Host, cur.Host)
 		units := make([]string, 0, len(r.Metrics))
 		for u := range r.Metrics {
 			units = append(units, u)
@@ -367,6 +418,10 @@ func compare(prev, cur *Snapshot, prevPath string, threshold float64, gated map[
 			label := r.Name + " " + u
 			if !had {
 				fmt.Printf("%-28s %14s %14.4g %8s\n", label, "-", nv, "new")
+				continue
+			}
+			if u == "ns/op" && otherHost {
+				fmt.Printf("%-28s %14.4g %14.4g %8s\n", label, ov, nv, "other host")
 				continue
 			}
 			delta := "0%"
@@ -406,9 +461,11 @@ func compare(prev, cur *Snapshot, prevPath string, threshold float64, gated map[
 // warmReport prints, for every <Name>Cold/<Name>Warm benchmark pair in
 // the current run, the cold and warm-start ns/op and states/op side by
 // side with the warm/cold ratio. It returns false — failing the run —
-// when a Warm benchmark reports no value-certificate adoptions
-// (valreuse/op missing or zero): the reuse layer being silently disabled
-// must fail `make verify`, not just look slow in a timing eyeball.
+// unless every Warm benchmark evaluates strictly fewer states than its
+// Cold side: the warm side adopts death certificates recorded by earlier
+// cells, so a missing or closed gap means the reuse layer was silently
+// disabled, which must fail `make verify`, not just look slow in a
+// timing eyeball.
 func warmReport(cur *Snapshot) bool {
 	byName := map[string]Result{}
 	for _, r := range cur.Results {
@@ -442,13 +499,11 @@ func warmReport(cur *Snapshot) bool {
 			}
 			fmt.Printf("%-28s %14.4g %14.4g %10s\n", base+" "+u, cv, wv, ratio)
 		}
-		if w.Metrics["valreuse/op"] <= 0 {
-			fmt.Printf("%-28s %14s %14.4g %10s  REGRESSION (reuse disabled)\n",
-				base+" valreuse/op", "-", w.Metrics["valreuse/op"], "-")
+		cs, cok := r.Metrics["states/op"]
+		ws, wok := w.Metrics["states/op"]
+		if !cok || !wok || ws >= cs {
+			fmt.Printf("%-28s REGRESSION (reuse disabled: warm states/op not below cold)\n", base)
 			ok = false
-		} else {
-			fmt.Printf("%-28s %14.4g %14.4g %10s\n",
-				base+" valreuse/op", r.Metrics["valreuse/op"], w.Metrics["valreuse/op"], "-")
 		}
 	}
 	if !printed {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -41,20 +42,29 @@ func TestParseBench(t *testing.T) {
 	if results[1].Metrics["ns/op"] != 5932725 {
 		t.Errorf("MadPipeDP ns/op = %g", results[1].Metrics["ns/op"])
 	}
+	h := parseHost(sample)
+	if h.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || h.GOOS != runtime.GOOS || h.GOARCH != runtime.GOARCH ||
+		h.NumCPU < 1 || h.GOMAXPROCS < 1 {
+		t.Errorf("host %+v", h)
+	}
 }
+
+// testHost is the host both sides of a same-machine comparison share.
+var testHost = &Host{CPU: "test cpu", NumCPU: 2, GOMAXPROCS: 2, GOOS: "linux", GOARCH: "amd64"}
 
 func TestCompareRegression(t *testing.T) {
 	gateAll := map[string]bool{"ns/op": true, "allocs/op": true}
-	prev := &Snapshot{Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 10}}}}
-	same := &Snapshot{Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 105, "allocs/op": 10}}}}
+	prev := &Snapshot{Host: testHost, Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 10}}}}
+	stampHost(prev)
+	same := &Snapshot{Host: testHost, Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 105, "allocs/op": 10}}}}
 	if compare(prev, same, "prev.json", 0.10, gateAll) {
 		t.Errorf("5%% slowdown flagged at 10%% threshold")
 	}
-	worse := &Snapshot{Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 150, "allocs/op": 10}}}}
+	worse := &Snapshot{Host: testHost, Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 150, "allocs/op": 10}}}}
 	if !compare(prev, worse, "prev.json", 0.10, gateAll) {
 		t.Errorf("50%% slowdown not flagged")
 	}
-	moreAllocs := &Snapshot{Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 20}}}}
+	moreAllocs := &Snapshot{Host: testHost, Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 20}}}}
 	if !compare(prev, moreAllocs, "prev.json", 0.10, gateAll) {
 		t.Errorf("2x allocs not flagged")
 	}
@@ -194,5 +204,71 @@ func TestBaselinePerBenchmark(t *testing.T) {
 	}
 	if prev, _, err := baseline(t.TempDir(), cur); err != nil || prev != nil {
 		t.Errorf("empty dir: baseline %v, %v; want nil, nil", prev, err)
+	}
+}
+
+func TestCompareOtherHost(t *testing.T) {
+	// ns/op from another host, or from a snapshot without one, gets no
+	// verdict; allocs/op and exact counters are machine-independent and
+	// stay gated.
+	gate := map[string]bool{"ns/op": true, "allocs/op": true, "states/op": true}
+	other := *testHost
+	other.CPU = "another cpu"
+	cur := &Snapshot{Host: testHost, Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 500, "allocs/op": 10, "states/op": 7}}}}
+	for _, h := range []*Host{nil, &other} {
+		prev := &Snapshot{Host: h, Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 10, "states/op": 7}}}}
+		stampHost(prev)
+		if compare(prev, cur, "prev.json", 0.10, gate) {
+			t.Errorf("host %v: a 5x ns/op rise across hosts was given a verdict", h)
+		}
+		cur.Results[0].Metrics["allocs/op"] = 20
+		if !compare(prev, cur, "prev.json", 0.10, gate) {
+			t.Errorf("host %v: allocs/op regression passed across hosts", h)
+		}
+		cur.Results[0].Metrics["allocs/op"] = 10
+		cur.Results[0].Metrics["states/op"] = 8
+		if !compare(prev, cur, "prev.json", 0, map[string]bool{"states/op": true}) {
+			t.Errorf("host %v: exact states/op drift passed across hosts", h)
+		}
+		cur.Results[0].Metrics["states/op"] = 7
+	}
+	// A snapshot on disk carries its host to every result, including
+	// results a per-benchmark baseline takes from it.
+	dir := t.TempDir()
+	data, err := json.Marshal(Snapshot{Date: "2026-01-01", Host: testHost, Results: []Result{{Name: "X", Metrics: map[string]float64{"ns/op": 100}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_2026-01-01.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prev, path, err := baseline(dir, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameHost(prev.Results[0].Host, testHost) {
+		t.Fatalf("baseline result host %+v, want %+v", prev.Results[0].Host, testHost)
+	}
+	if !compare(prev, cur, path, 0.10, gate) {
+		t.Error("a 5x ns/op rise on the same host passed")
+	}
+}
+
+func TestWarmReport(t *testing.T) {
+	pair := func(cold, warm map[string]float64) *Snapshot {
+		return &Snapshot{Results: []Result{{Name: "SweepCold", Metrics: cold}, {Name: "SweepWarm", Metrics: warm}}}
+	}
+	if !warmReport(pair(map[string]float64{"states/op": 100}, map[string]float64{"states/op": 90})) {
+		t.Error("warm side with fewer states failed")
+	}
+	for name, s := range map[string]*Snapshot{
+		"equal states":   pair(map[string]float64{"states/op": 100}, map[string]float64{"states/op": 100}),
+		"more states":    pair(map[string]float64{"states/op": 100}, map[string]float64{"states/op": 101}),
+		"no warm states": pair(map[string]float64{"states/op": 100}, map[string]float64{"ns/op": 1}),
+		"no pairs":       {Results: []Result{{Name: "SweepCold", Metrics: map[string]float64{"states/op": 1}}}},
+	} {
+		if warmReport(s) {
+			t.Errorf("%s: passed the warm gate", name)
+		}
 	}
 }

@@ -21,13 +21,12 @@ import (
 //     per-cell MadPipe/contiguous double-planning to one DP search per
 //     distinct input.
 //
-//   - warm DP tables, keyed by everything a table's certificate
-//     stores depend on EXCEPT the processor count and the memory limit:
-//     a DP state (l, p, t_P, m_P, V) never mentions the total worker
-//     count, and the p-outermost index layout keeps packed indices
-//     stable when nP changes, so death and value certificates recorded
-//     while planning one sweep cell remain sound for cells at any other
-//     P. The memory limit DOES change what the certificates assert;
+//   - warm DP tables, keyed by everything a table's death certificates
+//     depend on EXCEPT the processor count and the memory limit: a DP
+//     state (l, p, t_P, m_P, V) never mentions the total worker count,
+//     and the p-outermost index layout keeps packed indices stable when
+//     nP changes, so death certificates recorded while planning one
+//     sweep cell remain sound for cells at any other P. The memory limit DOES change what the certificates assert;
 //     certArm compares it on lease and re-arms (epoch bump) on mismatch,
 //     which still preserves the T̂-independent hoists and the gmax memo
 //     (both self-keyed by their own inputs, including memory).
@@ -77,7 +76,7 @@ type planKey struct {
 	observed       bool
 }
 
-// tableKey identifies the inputs a DP table's certificate stores are
+// tableKey identifies the inputs a DP table's death certificates are
 // conditioned on. The processor count is deliberately absent (state
 // semantics are P-independent; see dpTable.idx) and so is the memory
 // limit (guarded dynamically by certArm, so that cells at a new M still
@@ -180,7 +179,7 @@ func (pc *PlannerCache) Stats() CacheStats {
 }
 
 // LeaseStats reports how many table leases were served warm (a pooled
-// table with live certificate stores) vs cold (a fresh table from the
+// table with live death certificates) vs cold (a fresh table from the
 // shared pool, including leases that asked for cold). Deterministic for
 // a fixed call sequence, which per-worker sharding guarantees.
 func (pc *PlannerCache) LeaseStats() (warm, cold uint64) {

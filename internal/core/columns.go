@@ -32,19 +32,22 @@ import "madpipe/internal/chain"
 // either way).
 const colMaxL = 1024
 
-// colEnt is one filled column entry: the group count (0 = not filled
-// yet; real counts are >= 1), the child delay index, the special-branch
-// stage memory and — when value certificates are armed — the cut's
-// target-period validity interval [lo, hi): the widest T̂ range on which
-// g and the ⊕-snapped child delay provably keep their current values
-// (see cutInterval). Computing the interval here amortizes it across
-// every state that visits the cut, so the DP's hot loop pays two
-// compares; value certificates are armed only where it does (valOn).
+// colMaxG bounds the group counts the column arm may hold: colEnt.g and
+// the gmax thresholds are int32, and a count past their range would wrap
+// and flip the normal branch's memory check. A probe whose largest group
+// count (the grid-top delay plus the whole chain's work, over T̂) could
+// reach colMaxG computes its cut scalars inline instead, bit-identical
+// either way; only a target period around a billionth of the chain's
+// work and delay gets there.
+const colMaxG = 1 << 30
+
+// colEnt is one filled column entry, 16 bytes: the special-branch stage
+// memory, the group count (0 = not filled yet; real counts are >= 1) and
+// the child delay index.
 type colEnt struct {
-	smem   float64
-	lo, hi float64
-	g      int32
-	ivn    int32
+	smem float64
+	g    int32
+	ivn  int32
 }
 
 type gmaxKey struct {
@@ -65,7 +68,7 @@ type colCache struct {
 	dir []uint64
 
 	// Per-ordinal entry slab, nV entries per column. Each entry is one
-	// 32-byte colEnt, so the hot loop pays a single cache access per
+	// 16-byte colEnt, so the hot loop pays a single cache access per
 	// (l, k, iV) touch.
 	ent  []colEnt
 	gmax []int32 // per-ordinal scalar
@@ -79,9 +82,10 @@ type colCache struct {
 }
 
 // reset prepares the cache for one probe. It is a no-op (cache disabled)
-// when the chain is too long for the quadratic directory.
-func (cc *colCache) reset(L, nV int, key gmaxKey) {
-	cc.on = L <= colMaxL
+// when the chain is too long for the quadratic directory or gTop, the
+// largest group count a cut can ask for, reaches colMaxG.
+func (cc *colCache) reset(L, nV int, gTop float64, key gmaxKey) {
+	cc.on = L <= colMaxL && gTop < colMaxG
 	if !cc.on {
 		return
 	}
@@ -153,9 +157,6 @@ func (r *dpRun) fillEnt(l, k, iV int, e *colEnt) {
 	e.ivn = int32(roundUp(vNext, r.stepV, r.nV))
 	if !r.disableSpecial {
 		e.smem = r.stageMem(k, l, g-1)
-	}
-	if r.valOn {
-		e.lo, e.hi = r.cutInterval(v, u, r.cLeft[k], int(e.ivn))
 	}
 }
 

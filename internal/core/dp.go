@@ -129,13 +129,6 @@ type dpRun struct {
 	tab   *dpTable
 	stack []dpFrame
 
-	// valOn arms value certificates (recording, adoption, per-cut
-	// intervals). runDPWith sets it only where the column cache is on:
-	// a column entry computes a cut's interval once for every state that
-	// visits the cut, where the inline path would recompute it on every
-	// visit. Death certificates follow tab.certOn on every shape.
-	valOn bool
-
 	// Observability. stats points at statsBuf when Options.Obs is set
 	// and is nil otherwise, so every instrumented site costs exactly one
 	// pointer check when disabled.
@@ -153,18 +146,16 @@ type dpRun struct {
 	// rather than per-state, which is only sound while every operation
 	// contributing to the answer executes within this probe: the moment
 	// the run adopts a cross-probe certificate — a state settled by a
-	// death or value certificate recorded by an earlier probe, whose
-	// memory constraints this run never re-executed — childValue clears
-	// mtrack, and the run claims only the single limit it verified
+	// death certificate recorded by an earlier probe, whose memory
+	// constraints this run never re-executed — childValue clears mtrack,
+	// and the run claims only the single limit it verified
 	// (mtrackInterval). No later pin could widen that claim, so none is
 	// made: solve, baseCase and reconstruct test mtrack before every pin.
 	// Certificates never change answers (TestCertReuseMatchesColdProbes),
-	// so adoption stays armed in frontier mode for its ~3x probe
-	// speedup; wide intervals then come from certificate-free runs (cold
-	// tables, first probes, and chains past colMaxL that adopt no death
-	// certificate, since value certificates are off there) and from the
-	// frontier store's monotone bracket merging (hint.go), which needs no
-	// tracked width at all.
+	// so adoption stays armed in frontier mode; wide intervals then come
+	// from runs that adopt no certificate (cold tables, first probes,
+	// roomy memory limits) and from the frontier store's monotone
+	// bracket merging (hint.go), which needs no tracked width at all.
 	mtrack     bool
 	pmlo, pmhi float64
 }
@@ -216,8 +207,8 @@ func (r *dpRun) mPinNorm(smemN float64, pass bool) {
 // memory limit, the check at M' reads imP*M'/(nM-1) + smem <= M', which
 // in real arithmetic flips at Mthr = smem / (1 - imP/(nM-1)). The 1e-12
 // relative margins shrink the claimed range strictly inside the real
-// one, dominating the few-ulp float noise of the replayed evaluation
-// exactly as nInterval's margins do on the T̂ axis. The grid-top index
+// one, dominating by four orders of magnitude the few-ulp float noise
+// of the replayed evaluation. The grid-top index
 // (imP == nM-1) makes the threshold degenerate; the pin collapses to
 // the current limit alone.
 func (r *dpRun) mPinSpecial(imP int, smem float64, pass bool) {
@@ -254,8 +245,7 @@ func (r *dpRun) mPinSpecial(imP int, smem float64, pass bool) {
 // ceil argument is imP + x with x = smem*(nM-1)/M', so the index keeps
 // its recorded value c = imPN - imP while x stays on its plateau. x
 // grows as the memory limit shrinks, so "ceil stays <= c" is a lower
-// bound on M' and "ceil stays > c-1" an upper bound — the mirror image
-// of ivnInterval, whose argument grows with its axis. A recorded index
+// bound on M' and "ceil stays > c-1" an upper bound. A recorded index
 // at the grid top stays clamped there for every smaller limit, so only
 // the upper bound applies; c == 0 needs no upper bound (x >= 0 always
 // rounds to at least 0). Margins as in mPinSpecial.
@@ -286,27 +276,12 @@ type dpEntry struct {
 // whether any cut passed a memory check: a state that ends infeasible
 // with memOK still false died on memory alone, which is monotone in T̂
 // and therefore certifiable across probes (see dpTable.certMark).
-// flo/fhi accumulate the state's value-certificate interval when
-// dpRun.valOn is set: the intersection of every visited cut's interval
-// (colEnt.lo/hi) and every consulted child's recorded range; fhi <= flo
-// marks it empty.
 type dpFrame struct {
 	l, p, itP, imP, iV int32
 	k                  int32
 	stage              int8
 	memOK              bool
 	best               dpEntry
-	flo, fhi           float64
-}
-
-// narrow intersects [lo, hi) into the frame's value-certificate interval.
-func (f *dpFrame) narrow(lo, hi float64) {
-	if lo > f.flo {
-		f.flo = lo
-	}
-	if hi < f.fhi {
-		f.fhi = hi
-	}
 }
 
 // roundUp maps a continuous value onto its grid index, rounding up
@@ -329,150 +304,6 @@ func roundUp(v, step float64, n int) int {
 // ceilT returns ceil(x / T̂) with a relative epsilon guard.
 func (r *dpRun) ceilT(x float64) float64 {
 	return math.Ceil(x/r.that - 1e-9)
-}
-
-// nInterval returns the widest target-period interval [lo, hi) around
-// the current T̂ on which ceilT(w) provably keeps the value n it has now
-// (the caller passes n = ceilT(w)). In real arithmetic the count stays n
-// for T̂' in [w/(n+ε), w/(n-1+ε)) with ε the ceilT guard; the 1e-12
-// relative margins shrink the interval strictly inside that range, which
-// dominates float64's ~2e-16 rounding by four orders of magnitude, so
-// the claim survives the floating-point evaluation at any adopting
-// probe. For n == 0 the count stays zero for all larger targets.
-func (r *dpRun) nInterval(w, n float64) (lo, hi float64) {
-	if n <= 0 {
-		return w * 1e9 * (1 + 1e-12), inf
-	}
-	return w / (n + 1e-9) * (1 + 1e-12), w / (n - 1 + 1e-9) * (1 - 1e-12)
-}
-
-// cutInterval returns the target-period interval [lo, hi) around the
-// current T̂ on which every quantity the DP actually consumes from one
-// cut — the group count g = max(1, ceilT(v+u)) and the GRID INDEX of
-// the child delay (v ⊕ u) ⊕ cl — keeps its current value, making the
-// cut's memory checks, candidate values and child state invariant.
-//
-// The raw ⊕ result need not be invariant: when an application snaps,
-// the delay contains a T̂·ceilT term that varies continuously with the
-// target — but the only consumer of the delay is roundUp, which
-// quantizes it back to a grid index. So instead of poisoning the
-// interval on a snap, the chain is replayed symbolically: over the
-// region where every ceilT plateau above is pinned, the delay is a
-// fixed linear function A·T̂' + B with integer slope (the snapped group
-// count), and the interval where roundUp keeps the recorded index is a
-// closed form (ivnInterval). Plateaus of composed arguments such as
-// ceilT(T̂'·n + u) reduce in real arithmetic to plateaus of u/T̂'; the
-// few extra ulps of float noise this introduces are dwarfed by the
-// 1e-12 relative margins exactly as in nInterval.
-func (r *dpRun) cutInterval(v, u, cl float64, ivn int) (lo, hi float64) {
-	w := v + u
-	nvu := r.ceilT(w)
-	lo, hi = r.nInterval(w, nvu) // pins g and the first ⊕'s crossing side
-	nv := r.ceilT(v)
-	l2, h2 := r.nInterval(v, nv) // pins the first ⊕'s base side
-	if l2 > lo {
-		lo = l2
-	}
-	if h2 < hi {
-		hi = h2
-	}
-	// a = v ⊕ u as the pinned-region linear form aA·T̂' + aB, replaying
-	// oplus's branch on the recorded plateau values.
-	var aA, aB float64
-	if nvu == nv {
-		aA, aB = 0, w
-	} else {
-		aA, aB = nv, u
-	}
-	a := aA*r.that + aB // oplus's own float result, op for op
-	n2 := r.ceilT(a)
-	m2 := r.ceilT(a + cl)
-	if aA == 0 {
-		// a is the constant w; its base-side plateau is already pinned
-		// (n2 == nvu), only the crossing side of the second ⊕ remains.
-		l2, h2 = r.nInterval(a+cl, m2)
-		if l2 > lo {
-			lo = l2
-		}
-		if h2 < hi {
-			hi = h2
-		}
-	} else {
-		// a = nv·T̂' + u: ceilT(a) == n2 reduces to the u/T̂' plateau at
-		// n2 − nv, and ceilT(a + cl) == m2 to the (u+cl)/T̂' plateau.
-		l2, h2 = r.nInterval(u, n2-nv)
-		if l2 > lo {
-			lo = l2
-		}
-		if h2 < hi {
-			hi = h2
-		}
-		l2, h2 = r.nInterval(u+cl, m2-nv)
-		if l2 > lo {
-			lo = l2
-		}
-		if h2 < hi {
-			hi = h2
-		}
-	}
-	// b = a ⊕ cl as a linear form; pin its grid index when it varies.
-	var bA, bB float64
-	if m2 == n2 {
-		bA, bB = aA, aB+cl
-	} else {
-		bA, bB = n2, cl
-	}
-	if bA > 0 {
-		// ivn is the caller's recorded index (fillEnt's own roundUp of the
-		// evaluated ⊕ chain), so the pinned index can never drift an ulp
-		// from the stored e.ivn.
-		l2, h2 = r.ivnInterval(bA, bB, ivn)
-		if l2 > lo {
-			lo = l2
-		}
-		if h2 < hi {
-			hi = h2
-		}
-	}
-	return lo, hi
-}
-
-// ivnInterval returns the target-period interval on which
-// roundUp(A·T̂' + B, stepV, nV) provably keeps the recorded index i,
-// for a strictly positive slope A. roundUp is Ceil((x)/step − 1e-9)
-// clamped to [0, nV−1], monotone in T̂', so each plateau edge is a
-// single division; the 1e-12 relative margins shrink strictly inside
-// it, absorbing the associativity noise between this linear form and
-// the ⊕ chain's own float evaluation.
-func (r *dpRun) ivnInterval(A, B float64, i int) (lo, hi float64) {
-	step := r.stepV
-	lo, hi = 0, inf
-	if i < r.nV-1 {
-		// Ceil stays <= i while (A·T̂'+B)/step − 1e-9 <= i.
-		if h := (step*(float64(i)+1e-9) - B) / A * (1 - 1e-12); h < hi {
-			hi = h
-		}
-	}
-	if i > 0 {
-		// Ceil stays > i−1 (or clamps from above at i == nV−1) while
-		// (A·T̂'+B)/step − 1e-9 > i−1.
-		if l := (step*(float64(i)-1+1e-9) - B) / A * (1 + 1e-12); l > lo {
-			lo = l
-		}
-	}
-	return lo, hi
-}
-
-// baseInterval is cutInterval's analogue for the p == 0 base case, whose
-// only T̂-dependent quantity is the group count of the whole remaining
-// prefix. With the special processor disabled the base case is
-// unconditionally infeasible, at every target.
-func (r *dpRun) baseInterval(v float64, l int) (float64, float64) {
-	if r.disableSpecial {
-		return 0, inf
-	}
-	w := v + r.uTo[l]
-	return r.nInterval(w, r.ceilT(w))
 }
 
 // oplus is the ⊕ operator of Section 4.2.2: advance a delay x by a work
@@ -676,19 +507,15 @@ func (r *dpRun) baseCase(l, imP int, tP, mP, v float64) dpEntry {
 
 // childValue returns the value of a sub-state if it is already resolved:
 // l == 0 states are closed-form, everything else comes from the table —
-// or from a cross-probe certificate: a memory-death certificate settles
-// the child at infinity, a value certificate (when armed, see
-// dpRun.valOn) whose interval covers the probe target settles it at its
-// recorded entry, in both cases without descending. The returned index
-// (-1 for l == 0) lets the caller intersect the child's recorded
-// validity range into its own interval.
-func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, int, bool) {
+// or from a cross-probe memory-death certificate, which settles the
+// child at infinity without descending.
+func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, bool) {
 	if l == 0 {
-		return float64(itP) * r.stepT, -1, true
+		return float64(itP) * r.stepT, true
 	}
 	idx := r.tab.idx(l, p, itP, imP, iV)
 	if v, ok := r.tab.getPeriod(idx); ok {
-		return v, idx, true
+		return v, true
 	}
 	if r.tab.certDead(idx, r.that) {
 		if st := r.stats; st != nil {
@@ -696,22 +523,9 @@ func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, int, bool) {
 		}
 		r.mtrack = false
 		r.tab.putAdopted(idx, dpEntry{period: inf, k: -1})
-		if r.valOn {
-			r.tab.valPutDead(idx, r.that)
-		}
-		return inf, idx, true
+		return inf, true
 	}
-	if r.valOn {
-		if e, ok := r.tab.valGet(idx, r.that); ok {
-			if st := r.stats; st != nil {
-				st.StatesValReused++
-			}
-			r.mtrack = false
-			r.tab.putAdopted(idx, e)
-			return e.period, idx, true
-		}
-	}
-	return 0, idx, false
+	return 0, false
 }
 
 // solve evaluates T(l, p, t_P, m_P, V) with an explicit work stack: a
@@ -722,16 +536,15 @@ func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, int, bool) {
 // recursive formulation exactly (see TestDenseMatchesMapDP). A root
 // that is already tabulated or certified returns through childValue.
 func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
-	if v, _, ok := r.childValue(l0, p0, itP0, imP0, iV0); ok {
+	if v, ok := r.childValue(l0, p0, itP0, imP0, iV0); ok {
 		return v
 	}
-	valOn := r.valOn
 	stats := r.stats
 	cc := &r.tab.cols
 	st := r.stack[:0]
 	st = append(st, dpFrame{
 		l: int32(l0), p: int32(p0), itP: int32(itP0), imP: int32(imP0), iV: int32(iV0),
-		k: int32(l0), best: dpEntry{period: inf, k: -1}, fhi: inf,
+		k: int32(l0), best: dpEntry{period: inf, k: -1},
 	})
 	for len(st) > 0 {
 		f := &st[len(st)-1]
@@ -750,12 +563,6 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 				r.tab.certMark(idx, r.that)
 				if stats != nil && r.tab.certOn {
 					stats.CertsRecorded++
-				}
-			}
-			if valOn {
-				blo, bhi := r.baseInterval(v, l)
-				if r.tab.valPut(idx, blo, bhi, e) && stats != nil {
-					stats.ValCertsRecorded++
 				}
 			}
 			st = st[:len(st)-1]
@@ -793,8 +600,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			// Per-cut scalars: from the monotone cut-point columns when
 			// the cache fits, recomputed inline otherwise. Both arms run
 			// the identical expressions (cutDelay, see columns.go), so the
-			// decision stream is the same either way; only the column arm
-			// carries value-certificate intervals (dpRun.valOn).
+			// decision stream is the same either way.
 			var g, iVN int
 			var smem float64
 			var normOK bool
@@ -813,13 +619,6 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					// expression), so the pin value replays the comparison
 					// the columns encode at any memory limit.
 					r.mPinNorm(r.stageMem(k, l, int(e.g)), normOK)
-				}
-				if valOn {
-					// Every visited cut constrains the state's value
-					// certificate: outside [e.lo, e.hi) the cut's group
-					// count or child delay changes and the evaluation may
-					// diverge. (Idempotent when a frame resumes a cut.)
-					f.narrow(e.lo, e.hi)
 				}
 			} else {
 				cw, vNext := r.cutDelay(v, cv, u, cl)
@@ -842,11 +641,11 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 				// improves on a strict decrease, so cl >= best (u < best is
 				// the monotone check above) or a child floor at or above
 				// best decides the comparison without the lookup — or the
-				// child's whole subtree. Both skips replay under a value
-				// certificate and a memory pin: cl and the floor depend on
-				// neither T̂ nor memory, and the incumbent sequence is
-				// reproduced inductively. memOK is set first; the floor
-				// needs a finite incumbent, so it never hides a death.
+				// child's whole subtree. Both skips replay under a memory
+				// pin: cl and the floor do not depend on memory, and the
+				// incumbent sequence is reproduced inductively. memOK is
+				// set first; the floor needs a finite incumbent, so it
+				// never hides a death.
 				f.memOK = true
 				switch {
 				case cl >= f.best.period:
@@ -855,22 +654,15 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 						stats.CutsSkippedFloor++
 					}
 				default:
-					sub, cidx, ok := r.childValue(k-1, p-1, int(f.itP), int(f.imP), iVN)
+					sub, ok := r.childValue(k-1, p-1, int(f.itP), int(f.imP), iVN)
 					if !ok {
 						f.k = int32(k)
 						st = append(st, dpFrame{
 							l: int32(k - 1), p: int32(p - 1), itP: f.itP, imP: f.imP, iV: int32(iVN),
-							k: int32(k - 1), best: dpEntry{period: inf, k: -1}, fhi: inf,
+							k: int32(k - 1), best: dpEntry{period: inf, k: -1},
 						})
 						pushed = true
 						break cuts
-					}
-					if valOn && cidx >= 0 {
-						if clo, chi, cok := r.tab.valRange(cidx, r.that); cok {
-							f.narrow(clo, chi)
-						} else {
-							f.flo, f.fhi = inf, -1
-						}
 					}
 					cand := max3(u, cl, sub)
 					if cand < f.best.period {
@@ -894,10 +686,9 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					itPN := roundUp(tP+u, r.stepT, r.nT)
 					tNext := float64(itPN) * r.stepT
 					// Same early decisions as the normal branch: the
-					// candidate is max3(tNext, cl, sub), and tNext is
-					// T̂-independent (a T̂-free sum snapped to the t_P grid),
-					// so tNext, cl or the child floor at or above the
-					// incumbent settles the cut without touching the child.
+					// candidate is max3(tNext, cl, sub), so tNext, cl or the
+					// child floor at or above the incumbent settles the cut
+					// without touching the child.
 					if tNext >= f.best.period || cl >= f.best.period {
 						f.stage = 0
 						continue
@@ -913,22 +704,15 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					if r.mtrack {
 						r.mPinRound(int(f.imP), imPN, smem)
 					}
-					sub, cidx, ok := r.childValue(k-1, p, itPN, imPN, iVN)
+					sub, ok := r.childValue(k-1, p, itPN, imPN, iVN)
 					if !ok {
 						f.k = int32(k)
 						st = append(st, dpFrame{
 							l: int32(k - 1), p: f.p, itP: int32(itPN), imP: int32(imPN), iV: int32(iVN),
-							k: int32(k - 1), best: dpEntry{period: inf, k: -1}, fhi: inf,
+							k: int32(k - 1), best: dpEntry{period: inf, k: -1},
 						})
 						pushed = true
 						break cuts
-					}
-					if valOn && cidx >= 0 {
-						if clo, chi, cok := r.tab.valRange(cidx, r.that); cok {
-							f.narrow(clo, chi)
-						} else {
-							f.flo, f.fhi = inf, -1
-						}
 					}
 					cand := max3(tNext, cl, sub)
 					if cand < f.best.period {
@@ -954,14 +738,6 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			}
 		}
 		r.tab.put(idx, f.best)
-		if valOn {
-			// Cuts skipped by the monotone break need no constraint: the
-			// running best sequence is reproduced over the interval, so
-			// the break re-fires at the same k at any adopted target.
-			if r.tab.valPut(idx, f.flo, f.fhi, f.best) && stats != nil {
-				stats.ValCertsRecorded++
-			}
-		}
 		st = st[:len(st)-1]
 	}
 	r.stack = st[:0]
@@ -1066,11 +842,10 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 	}
 	r.init()
 	tab.reset(c.Len()+1, normals+1, nT, nM, disc.V)
-	tab.cols.reset(c.Len(), disc.V, gmaxKey{
+	tab.cols.reset(c.Len(), disc.V, (float64(disc.V-1)*r.stepV+totalU)/that, gmaxKey{
 		c: c, mem: plat.Memory,
 		weights: chain.WeightPolicy{Fixed: r.wFixed, PerBatch: r.wPerBatch},
 	})
-	r.valOn = tab.certOn && tab.cols.on
 	period := r.solve(c.Len(), normals, 0, 0, 0)
 	res := &DPResult{Period: period, States: tab.states}
 	// Table economics are populated even without observability: they are
@@ -1079,9 +854,9 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 	// table held before), cost a handful of stores, and the serving layer
 	// surfaces them in /v1/stats gauges without handing the planner a
 	// registry.
-	res.Stats.TableVirtualBytes = uint64(tab.size) * 64
+	res.Stats.TableVirtualBytes = uint64(tab.size) * uint64(stateBytes)
 	res.Stats.TableBlocksResident = uint64(tab.runBlocks)
-	res.Stats.TableResidentBytes = uint64(tab.runBlocks) * blockSize * 64
+	res.Stats.TableResidentBytes = uint64(tab.runBlocks) * blockSize * uint64(stateBytes)
 	if st := r.stats; st != nil {
 		st.StatesEvaluated = uint64(tab.states)
 		st.TableVirtualBytes = res.Stats.TableVirtualBytes
@@ -1144,18 +919,10 @@ func (r *dpRun) reconstruct(normals int) (*partition.Allocation, error) {
 			stages = append(stages, rev{span: chain.Span{From: 1, To: l}, special: true})
 			break
 		}
+		// Every state on the decision path was evaluated or adopted by
+		// this probe: death certificates settle only +Inf states, which
+		// the walk never follows.
 		e, ok := r.tab.get(r.tab.idx(l, p, itP, imP, iV))
-		if !ok {
-			// A value-certificate adoption settled an ancestor without
-			// materializing this state's entry in the current probe's
-			// generation. Re-solve it: the solver usually adopts it
-			// straight from the value store (the child's recorded
-			// interval contains the ancestor's by construction), and
-			// computes it fresh otherwise — either way the entry equals
-			// the cold run's, so the walk continues bit-identically.
-			r.solve(l, p, itP, imP, iV)
-			e, ok = r.tab.get(r.tab.idx(l, p, itP, imP, iV))
-		}
 		if !ok || e.period == inf {
 			return nil, fmt.Errorf("core: reconstruction reached unexplored state (l=%d p=%d)", l, p)
 		}

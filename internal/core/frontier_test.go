@@ -240,7 +240,7 @@ func TestBracketCandidatesDegenerate(t *testing.T) {
 // at, and every other probe replays at the bottom of its claim — a
 // cold, certificate-free DP at MLo returns the same period, spans and
 // processors. The targets revisit the search range in both directions,
-// so later probes adopt death and value certificates of earlier ones.
+// so later probes adopt death certificates of earlier ones.
 func TestFrontierProbeClaimsReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	disc := Discretization{TP: 9, MP: 5, V: 9}
@@ -259,7 +259,7 @@ func TestFrontierProbeClaimsReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Stats.StatesCertPruned+res.Stats.StatesValReused > 0 {
+				if res.Stats.StatesCertPruned > 0 {
 					adopted++
 					if res.MLo != pl.Memory || res.MHi != math.Nextafter(pl.Memory, inf) {
 						t.Fatalf("trial %d contiguous=%v T̂=%g: adopting probe claims [%g, %g), want [%g, nextafter)",

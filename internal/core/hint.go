@@ -33,8 +33,7 @@ type Bracket struct {
 //     folded exactly as the cold search folds an infeasible DP result.
 //     Floors match their recorded T̂ exactly — never T̂' < T̂ — because ⊕
 //     delay snapping makes infeasibility non-monotone in the target
-//     (the same reason value certificates record memory-death intervals
-//     but not period-death intervals).
+//     (the same reason death certificates record memory-death only).
 //
 //   - Cell-level death certificates. When an entire search (all
 //     Iterations probes) comes back infeasible at M, the probe

@@ -174,7 +174,7 @@ func TestExhaustiveOracle(t *testing.T) {
 }
 
 // TestExhaustiveOracleProbes extends the oracle to Algorithm 1's probe
-// sequence: every probe of a certificate-armed search — death and value
+// sequence: every probe of a certificate-armed search — death
 // certificates adopted across probes alongside the floor — must return
 // the oracle's period at its target.
 func TestExhaustiveOracleProbes(t *testing.T) {

@@ -75,7 +75,6 @@ type Options struct {
 	// Cache, when set, carries planner state across PlanAllocation calls:
 	// a result memo (identical inputs return the recorded result without
 	// re-running Algorithm 1) and warm DP tables whose death certificates
-	// (and value certificates, on chains the cut-column cache covers)
 	// survive between calls that share a chain, communication terms,
 	// discretization, special mode and weight policy. Planner outputs
 	// are bit-identical with or without a cache;
@@ -409,9 +408,8 @@ func returnTableFor(t *dpTable, k tableKey, opts Options) {
 // each, folded in ascending-T̂ order until the probe budget is spent or
 // the bracket closes. At fan 1 this is the paper's bisection. Probe slot
 // i leases table i for the whole search: across rounds the slot's
-// probes reuse the table's columns, gmax memo and armed certificates
-// (death certificates on every shape, value certificates where the
-// column cache is on), so later rounds start warm. The hint is consulted
+// probes reuse the table's columns, gmax memo and armed death
+// certificates, so later rounds start warm. The hint is consulted
 // and updated only on the coordinating goroutine: hint-answered probes
 // never run the DP, and floors and frontier records are written during
 // the fold.

@@ -25,24 +25,20 @@ import (
 //     memory-death certificate without being expanded.
 type DPStats struct {
 	// StatesEvaluated is the number of states this run evaluated fresh
-	// (the table's store count). States settled from a certificate
-	// — death or value — are excluded, so warm probes report only the
-	// work they actually did; adopted states are counted separately in
-	// StatesCertPruned and StatesValReused.
+	// (the table's store count). States settled from a death
+	// certificate are excluded, so warm probes report only the work they
+	// actually did; adopted states are counted separately in
+	// StatesCertPruned.
 	StatesEvaluated uint64 `json:"states_evaluated"`
 	// StatesCertPruned counts states settled directly by a cross-probe
 	// memory-death certificate.
 	StatesCertPruned uint64 `json:"states_cert_pruned"`
-	// StatesValReused counts states adopted wholesale from a prior
-	// probe's value certificate (the current T̂ fell inside the record's
-	// proven validity interval). Like cert-pruned states, adopted states
-	// are excluded from StatesEvaluated — that field measures fresh work.
+	// StatesValReused counted states adopted from value certificates,
+	// which madpipe-planner/9 deleted, so it reads 0. It stays because
+	// the end-to-end benchmark (perfbench) reads it by name.
 	StatesValReused uint64 `json:"states_val_reused"`
 	// CertsRecorded counts memory-death certificates written this run.
 	CertsRecorded uint64 `json:"certs_recorded"`
-	// ValCertsRecorded counts value certificates (validity intervals with
-	// lo < hi) written this run.
-	ValCertsRecorded uint64 `json:"val_certs_recorded"`
 	// HoistReuses counts DP runs that adopted the table-cached
 	// T̂-independent hoists (U prefix sums, per-cut weights, comm terms)
 	// instead of rebuilding them.
@@ -88,9 +84,7 @@ type DPStats struct {
 func (s *DPStats) add(o *DPStats) {
 	s.StatesEvaluated += o.StatesEvaluated
 	s.StatesCertPruned += o.StatesCertPruned
-	s.StatesValReused += o.StatesValReused
 	s.CertsRecorded += o.CertsRecorded
-	s.ValCertsRecorded += o.ValCertsRecorded
 	s.HoistReuses += o.HoistReuses
 	s.CutsEvaluated += o.CutsEvaluated
 	s.CutsSkippedMonotone += o.CutsSkippedMonotone
@@ -121,9 +115,7 @@ func (s *DPStats) flush(reg *obs.Registry) {
 	reg.Counter("dp_runs").Inc()
 	reg.Counter("dp_states_evaluated").Add(s.StatesEvaluated)
 	reg.Counter("dp_states_cert_pruned").Add(s.StatesCertPruned)
-	reg.Counter("dp_states_val_reused").Add(s.StatesValReused)
 	reg.Counter("dp_certs_recorded").Add(s.CertsRecorded)
-	reg.Counter("dp_val_certs_recorded").Add(s.ValCertsRecorded)
 	reg.Counter("dp_hoist_reuses").Add(s.HoistReuses)
 	reg.Counter("dp_cuts_evaluated").Add(s.CutsEvaluated)
 	reg.Counter("dp_cuts_skipped_monotone").Add(s.CutsSkippedMonotone)

@@ -1,27 +1,28 @@
 package core
 
 import (
-	"math"
 	"sync"
+	"unsafe"
 
 	"madpipe/internal/obs"
 )
 
 // The DP table replaces the hash-map memo of the original
 // implementation: one packed index space over the states (l, p, t_P
-// index, m_P index, V index), carved into fixed-size blocks that are
-// allocated on first write. The lazy solver touches a shape-dependent
-// fraction of that space, so reachability pruning — kmin floors,
-// monotone breaks, death certificates — translates directly into bytes
-// never allocated: a 2000-layer op-granularity profile under the paper's
-// special-mode grids is a multi-GB virtual plane of which the solver
-// touches a few percent. Presence is tracked with an epoch stamp folded
-// into the per-state metadata word, so re-probing the same planner at a
-// new target period T̂ only bumps the stamp instead of clearing memory.
+// index, m_P index, V index), carved into fixed-size blocks of 32-byte
+// state records (dpState) that are allocated on first write. The lazy
+// solver touches a shape-dependent fraction of that space, so
+// reachability pruning — kmin floors, monotone breaks, death
+// certificates — translates directly into bytes never allocated: a
+// 2000-layer op-granularity profile under the paper's special-mode
+// grids is a multi-GB virtual plane of which the solver touches a few
+// percent. Presence is tracked with an epoch stamp folded into the
+// per-state metadata word, so re-probing the same planner at a new
+// target period T̂ only bumps the stamp instead of clearing memory.
 // Tables are recycled through a sync.Pool so a full Algorithm 1 run —
 // and a whole sweep — reuses its blocks.
 
-// Block geometry: 1024 states per block = 64 KB. The l-innermost index
+// Block geometry: 1024 states per block = 32 KB. The l-innermost index
 // layout means one reachable (p, t_P, m_P, V) combo touches a contiguous
 // l-span, so the block size bounds how much dead space a short span
 // strands: 1024 states stays well under a long chain's per-combo column
@@ -56,13 +57,12 @@ const (
 // k field (k+1 must fit in 14 bits).
 const tableMaxL = metaKMask - 1
 
-// dpState is one table state, padded to exactly one cache line so every
-// lookup a cut performs — current value, death certificate, value
-// certificate — lands on a single 64-byte load (blocks are 64 KB
-// allocations, which are page-aligned, so the padding guarantees line
-// alignment too). The DP's inner loop touches millions of child states
-// per probe; before the records were colocated those touches cost up to
-// four separate array loads and dominated the whole planner's profile.
+// dpState is one table state, padded to 32 bytes so two states share a
+// cache line and every lookup a cut performs — current value and death
+// certificate — lands on a single line (blocks are 32 KB allocations,
+// so the padding guarantees that alignment too). The DP's inner loop
+// touches millions of child states per probe, so the record's size sets
+// both the planner's memory and how many child lookups share a line.
 //
 // Fields:
 //   - period/meta: the current DP value and the packed stamp/decision
@@ -70,28 +70,12 @@ const tableMaxL = metaKMask - 1
 //   - certThat/certSeen: the death certificate — the largest target
 //     period at which the state was proven memory-dead, validated by
 //     certSeen against certEpoch.
-//   - vlo/vhi/vperiod/vmeta/vepoch: the value certificate — the state's
-//     full DP entry together with the target-period interval [vlo, vhi)
-//     on which it is proven valid, recorded only on column-cached shapes
-//     (dpRun.valOn). The interval is built while the state is evaluated
-//     (see cutInterval): it is the intersection, over every visited cut,
-//     of the widest T̂ ranges keeping the cut's group count and child
-//     grid index at their current values, further intersected
-//     with the children's own recorded intervals — so for any probe with
-//     T̂' inside the interval the whole evaluation replays move-for-move
-//     and the entry can be adopted wholesale, value and reconstruction
-//     decision included. vmeta reuses the decision packing (no stamp
-//     half); vepoch follows the same generation scheme as certSeen.
 type dpState struct {
 	period   float64
 	meta     uint32
 	certSeen uint32
 	certThat float64
-	vlo, vhi float64
-	vperiod  float64
-	vmeta    uint32
-	vepoch   uint32
-	_        [8]byte // pad 56 -> 64: one state, one cache line
+	_        [8]byte // pad 24 -> 32: two states per cache line
 }
 
 type dpTable struct {
@@ -122,8 +106,7 @@ type dpTable struct {
 	trimHWM int
 
 	// Cross-probe certificates (Algorithm 1 only; see certBegin). certOn
-	// arms death certificates on every shape, and value certificates
-	// where the column cache is on (dpRun.valOn). A death certificate
+	// arms death certificates on every shape. A death certificate
 	// (dpState.certThat) is the largest target period at which the state
 	// was proven memory-dead: every cut k failed its memory check
 	// outright, with no recourse to child values. Group counts
@@ -137,13 +120,13 @@ type dpTable struct {
 	certOn    bool
 	certEpoch uint32
 	// certMem is the memory limit the live certificate generation was
-	// recorded under. Death and value certificates are statements about
-	// the DP at a specific memory limit; certArm re-arms (invalidating
-	// both stores) when a warm lease arrives with a different limit.
+	// recorded under. Death certificates are statements about the DP at
+	// a specific memory limit; certArm re-arms (invalidating them) when
+	// a warm lease arrives with a different limit.
 	certMem float64
 	// certMax is the largest target period recorded by any death
 	// certificate this lease — a probe at that > certMax cannot match
-	// any, so the hot path skips the per-state load entirely. Both
+	// any, so the hot path skips the per-state load entirely. The
 	// certificate records live inside the dpState records themselves.
 	certMax float64
 
@@ -219,28 +202,25 @@ func (t *dpTable) reset(nL, nP, nT, nM, nV int) {
 	}
 }
 
-// certBegin arms the certificate store for the current table lease:
-// death certificates on every shape, value certificates on the shapes
-// the column cache covers (runDPWith derives dpRun.valOn). Certificates
-// are only sound while every probe on the lease shares the same chain,
-// platform, discretization and weight policy — exactly the shape of one
-// Algorithm 1 run — so only PlanAllocation calls this; one-shot DP()
-// runs leave certificates off. Bumping the epoch invalidates whatever a
-// previous lease recorded (death and value certificates share the
-// generation). A PlannerCache lease that revives a warm table skips
-// certBegin precisely to keep both stores alive.
+// certBegin arms death certificates for the current table lease.
+// Certificates are only sound while every probe on the lease shares the
+// same chain, platform, discretization and weight policy — exactly the
+// shape of one Algorithm 1 run — so only PlanAllocation calls this;
+// one-shot DP() runs leave certificates off. Bumping the epoch
+// invalidates whatever a previous lease recorded. A PlannerCache lease
+// that revives a warm table skips certBegin precisely to keep the store
+// alive.
 func (t *dpTable) certBegin() {
 	t.certOn = true
 	t.certMax = 0
 	t.certEpoch++
 }
 
-// certArm arms the certificate store (death certificates everywhere,
-// value certificates on column-cached shapes) for a lease at the given
-// memory limit. A warm table (PlannerCache lease) whose live generation
-// was recorded at the same limit resumes — both certificate stores stay
-// valid, which is the whole point of warm leasing; any other case is a
-// fresh generation. Chain, platform communication terms, discretization,
+// certArm arms death certificates for a lease at the given memory
+// limit. A warm table (PlannerCache lease) whose live generation was
+// recorded at the same limit resumes — its certificates stay valid,
+// which is the whole point of warm leasing; any other case is a fresh
+// generation. Chain, platform communication terms, discretization,
 // special mode and weight policy are guaranteed equal by the lease key
 // (tableKey); the memory limit is the one input the key leaves out.
 func (t *dpTable) certArm(mem float64) {
@@ -280,78 +260,11 @@ func (t *dpTable) certMark(idx int, that float64) {
 	s.certThat = that
 }
 
-// valGet returns the recorded entry for idx when a value certificate
-// covers the probe target that, i.e. that lies inside the record's
-// proven validity interval. Callers must have certOn checked.
-func (t *dpTable) valGet(idx int, that float64) (dpEntry, bool) {
-	rec := t.peek(idx)
-	if rec == nil || rec.vepoch != t.certEpoch || that < rec.vlo || that >= rec.vhi {
-		return dpEntry{}, false
-	}
-	return dpEntry{
-		period:  rec.vperiod,
-		k:       int16(int32(rec.vmeta>>metaKShift&metaKMask) - 1),
-		special: rec.vmeta&metaSpecialBit != 0,
-	}, true
-}
-
-// valRange returns the validity interval of idx's value certificate,
-// provided it covers that — the containment check matters because the
-// record may be stale relative to the table's current entry (written by
-// an earlier probe whose interval excludes the current target), in which
-// case its interval says nothing about the value now stored. Parents
-// intersect the returned range into their own intervals.
-func (t *dpTable) valRange(idx int, that float64) (float64, float64, bool) {
-	rec := t.peek(idx)
-	if rec == nil || rec.vepoch != t.certEpoch || that < rec.vlo || that >= rec.vhi {
-		return 0, 0, false
-	}
-	return rec.vlo, rec.vhi, true
-}
-
-// valPut records a value certificate for idx, returning whether a record
-// was written. Empty intervals (the evaluation crossed a ⊕ snap, pinning
-// the entry to this exact T̂) are not stored: a previous probe's record —
-// which cannot cover the current target, else the state would have been
-// adopted instead of evaluated — stays live for the targets it does
-// cover.
-func (t *dpTable) valPut(idx int, lo, hi float64, e dpEntry) bool {
-	if !(lo < hi) {
-		return false
-	}
-	s := t.slot(idx)
-	m := uint32(int32(e.k)+1) << metaKShift
-	if e.special {
-		m |= metaSpecialBit
-	}
-	s.vlo, s.vhi = lo, hi
-	s.vperiod = e.period
-	s.vmeta = m
-	s.vepoch = t.certEpoch
-	return true
-}
-
-// valPutDead records the value certificate implied by a death
-// certificate: the value is +Inf for every target up to and including
-// certThat[idx] (half-open representation via Nextafter). An existing
-// record covering that is kept — it already says +Inf there and may be
-// wider.
-func (t *dpTable) valPutDead(idx int, that float64) {
-	rec := t.slot(idx)
-	if rec.vepoch == t.certEpoch && that >= rec.vlo && that < rec.vhi {
-		return
-	}
-	rec.vlo, rec.vhi = 0, math.Nextafter(rec.certThat, inf)
-	rec.vperiod = inf
-	rec.vmeta = 0
-	rec.vepoch = t.certEpoch
-}
-
 // idx packs a state with p as the outermost axis and l innermost. The
 // outermost p keeps the packed index independent of nP: a state's
 // meaning — prefix l with a remaining budget of p normal processors on
 // fixed grids — does not involve the total worker count, so indices stay
-// stable across nP and death/value certificates recorded in one sweep
+// stable across nP and death certificates recorded in one sweep
 // cell can be adopted by cells with a different P (the p-range they
 // share is exactly the index prefix). The innermost l serves locality:
 // a state's cut loop looks up children at l' = k-1 with the same itP and
@@ -419,12 +332,11 @@ func (t *dpTable) put(idx int, e dpEntry) {
 	t.states++
 }
 
-// putAdopted settles a state from a certificate — death or value —
-// without counting it as newly evaluated work: tab.states (and with it
+// putAdopted settles a state from a death certificate without counting
+// it as newly evaluated work: tab.states (and with it
 // DPStats.StatesEvaluated and the probe timeline's States) count fresh
 // evaluations only, so warm probes report the work they actually did.
-// Certificate hits are tracked separately (StatesCertPruned,
-// StatesValReused).
+// Certificate hits are tracked separately (StatesCertPruned).
 func (t *dpTable) putAdopted(idx int, e dpEntry) {
 	m := t.stamp<<metaStampShift | uint32(int32(e.k)+1)<<metaKShift
 	if e.special {
@@ -499,12 +411,18 @@ func trimOnRelease(t *dpTable, reg *obs.Registry) {
 	}
 }
 
-// retainedBytes sums the capacity the table holds onto while pooled
-// (element sizes by layout: dpState 64, colEnt 32).
+// stateBytes and entBytes are the record sizes the table's byte
+// figures are computed from.
+const (
+	stateBytes = int(unsafe.Sizeof(dpState{}))
+	entBytes   = int(unsafe.Sizeof(colEnt{}))
+)
+
+// retainedBytes sums the capacity the table holds onto while pooled.
 func (t *dpTable) retainedBytes() int {
-	b := t.nAlloc*blockSize*64 + cap(t.blocks)*8 + cap(t.wrote)*2
+	b := t.nAlloc*blockSize*stateBytes + cap(t.blocks)*8 + cap(t.wrote)*2
 	cc := &t.cols
-	b += cap(cc.dir)*8 + cap(cc.ent)*32 + cap(cc.gmax)*4 +
+	b += cap(cc.dir)*8 + cap(cc.ent)*entBytes + cap(cc.gmax)*4 +
 		cap(cc.gmaxSeen)*4 + cap(cc.gmaxCached)*4
 	return b
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"madpipe/internal/chain"
 )
@@ -185,7 +186,7 @@ func TestTableStatsPerRun(t *testing.T) {
 		return res.Stats
 	}
 	want := run(new(dpTable), short)
-	if want.TableBlocksResident == 0 || want.TableResidentBytes != want.TableBlocksResident*blockSize*64 {
+	if want.TableBlocksResident == 0 || want.TableResidentBytes != want.TableBlocksResident*blockSize*32 {
 		t.Fatalf("fresh run: %d blocks, %d resident bytes", want.TableBlocksResident, want.TableResidentBytes)
 	}
 	used := new(dpTable)
@@ -197,6 +198,18 @@ func TestTableStatsPerRun(t *testing.T) {
 	}
 	if used.nAlloc <= int(got.TableBlocksResident) {
 		t.Fatalf("test setup: the used table holds %d blocks, no more than the run wrote", used.nAlloc)
+	}
+}
+
+// TestRecordSizes pins the table's record layout: two dpStates share a
+// 64-byte cache line and a column entry is 16 bytes. Every byte figure
+// the table reports is derived from these sizes.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(dpState{}); got != 32 {
+		t.Errorf("dpState is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(colEnt{}); got != 16 {
+		t.Errorf("colEnt is %d bytes, want 16", got)
 	}
 }
 

@@ -171,9 +171,8 @@ func AblationTable(rows []Row) string {
 // CSV renders the raw sweep, one line per configuration. The trailing
 // columns are the MadPipe planner's pruning-rate breakdown (states
 // evaluated fresh, states settled by death certificates, fraction of
-// cut positions skipped by the monotone break, the fraction of settled states adopted from cross-probe value
-// certificates, and the fraction of bisection probes answered without
-// a DP run — dominance floors plus the frontier store) followed by the
+// cut positions skipped by the monotone break, and the fraction of
+// bisection probes answered without a DP run — dominance floors plus the frontier store) followed by the
 // parametric-frontier economics of the configuration's sweep row
 // (mp_frontier_breakpoints: T*(M) plateaus the row resolved into, both
 // modes summed; mp_frontier_replays_pct: DP probes re-run after the
@@ -186,7 +185,7 @@ func AblationTable(rows []Row) string {
 // or sweeps with planner-internal parallelism).
 func CSV(rows []Row) string {
 	var b strings.Builder
-	b.WriteString("net,workers,mem_gb,bw_gbs,seq_s,pd_pred,pd_valid,pd_sched,pd_simok,mp_pred,mp_valid,mp_sched,mp_simok,contig_valid,mp_states,mp_cert_pruned,mp_cut_skip_pct,mp_val_reuse_pct,mp_probes_saved_pct,mp_frontier_breakpoints,mp_frontier_replays_pct\n")
+	b.WriteString("net,workers,mem_gb,bw_gbs,seq_s,pd_pred,pd_valid,pd_sched,pd_simok,mp_pred,mp_valid,mp_sched,mp_simok,contig_valid,mp_states,mp_cert_pruned,mp_cut_skip_pct,mp_probes_saved_pct,mp_frontier_breakpoints,mp_frontier_replays_pct\n")
 	csvf := func(v float64) string {
 		if math.IsInf(v, 1) {
 			return "inf"
@@ -194,7 +193,7 @@ func CSV(rows []Row) string {
 		return fmt.Sprintf("%.6f", v)
 	}
 	for _, r := range sorted(rows) {
-		var states, pruned, skipPct, valPct string
+		var states, pruned, skipPct string
 		if rep := r.MadPipe.Report; rep != nil {
 			st := rep.TotalStats()
 			states = fmt.Sprintf("%d", st.StatesEvaluated)
@@ -202,9 +201,6 @@ func CSV(rows []Row) string {
 			skipped := st.CutsSkippedMonotone
 			if total := st.CutsEvaluated + skipped; total > 0 {
 				skipPct = fmt.Sprintf("%.2f", 100*float64(skipped)/float64(total))
-			}
-			if settled := st.StatesEvaluated + st.StatesCertPruned + st.StatesValReused; settled > 0 {
-				valPct = fmt.Sprintf("%.2f", 100*float64(st.StatesValReused)/float64(settled))
 			}
 		}
 		var savedPct string
@@ -217,11 +213,11 @@ func CSV(rows []Row) string {
 			frontBreaks = fmt.Sprintf("%d", r.FrontierBreakpoints)
 			frontReplaysPct = fmt.Sprintf("%.2f", 100*float64(r.FrontierReplays)/float64(r.FrontierProbes))
 		}
-		fmt.Fprintf(&b, "%s,%d,%.0f,%.0f,%.6f,%s,%s,%s,%t,%s,%s,%s,%t,%s,%s,%s,%s,%s,%s,%s,%s\n",
+		fmt.Fprintf(&b, "%s,%d,%.0f,%.0f,%.6f,%s,%s,%s,%t,%s,%s,%s,%t,%s,%s,%s,%s,%s,%s,%s\n",
 			r.Net, r.Workers, r.MemGB, r.BandGB, r.SeqTime,
 			csvf(r.PipeDream.Predicted), csvf(r.PipeDream.Valid), r.PipeDream.Scheduler, r.PipeDream.SimOK,
 			csvf(r.MadPipe.Predicted), csvf(r.MadPipe.Valid), r.MadPipe.Scheduler, r.MadPipe.SimOK,
-			csvf(r.MadPipeContig.Valid), states, pruned, skipPct, valPct, savedPct, frontBreaks, frontReplaysPct)
+			csvf(r.MadPipeContig.Valid), states, pruned, skipPct, savedPct, frontBreaks, frontReplaysPct)
 	}
 	return b.String()
 }

@@ -475,6 +475,16 @@ func TestServeBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Finite fields whose costs sum to +Inf used to plan in full and then
+	// answer 500 (the report's +Inf did not encode), or 422 blaming
+	// memory when the layer times themselves overflowed.
+	hugeLayers, err := json.Marshal(PlanRequest{
+		Chain:    chain.MustNew("huge", 1e6, []chain.Layer{{UF: 1e308, UB: 1e308, W: 1e6, A: 1e6}, {UF: 1e308, UB: 1e308, W: 1e6, A: 1e6}}),
+		Platform: PlatformSpec{Workers: 4, Memory: 8e9, Bandwidth: 1.2e10},
+		Options:  OptionsSpec{DiscTP: 4, DiscMP: 4, DiscV: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, body := range map[string]string{
 		"huge workers":      string(hugeWorkers),
 		"huge blocks":       `{"net":{"name":"gpt2","blocks":1000000000000,"granularity":8},"platform":{"workers":16,"memory_gb":1800,"bandwidth_gb":300}}`,
@@ -491,6 +501,9 @@ func TestServeBadRequests(t *testing.T) {
 		"negative iters":    `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"iterations":-3}}`,
 		"too many iters":    `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"iterations":65}}`,
 		"negative parallel": `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"parallel":-1}}`,
+		"huge latency":      `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12,"latency":1e308},"options":{"disc_tp":4,"disc_mp":4,"disc_v":4}}`,
+		"tiny bandwidth":    `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth":1e-300},"options":{"disc_tp":4,"disc_mp":4,"disc_v":4}}`,
+		"huge layer times":  string(hugeLayers),
 	} {
 		for attempt := 0; attempt < 2; attempt++ {
 			resp, err := http.Post(hs.URL+"/v1/plan", "application/json", strings.NewReader(body))
@@ -513,6 +526,9 @@ func TestServeBadRequests(t *testing.T) {
 				"negative parallel": "parallel",
 				"huge workers":      "workers",
 				"huge blocks":       "blocks",
+				"huge latency":      "latency",
+				"tiny bandwidth":    "bandwidth",
+				"huge layer times":  "chain",
 			} {
 				if name == field && !strings.Contains(er.Error, want) {
 					t.Errorf("%s #%d: error %q does not name %s", name, attempt, er.Error, want)
@@ -542,6 +558,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"overflowing rung", frontierBody(nil, []float64{1e300, 10}), "mems_gb"},
 		{"zero rung", frontierBody([]float64{8e9, 0}, nil), "mems"},
 		{"too long ladder", frontierBody(longLadder, nil), "mems"},
+		{"frontier huge latency", `{"net":{"name":"resnet50"},"platform":{"workers":4,"bandwidth_gb":12,"latency":1e308},"mems_gb":[10,8]}`, "latency"},
 	} {
 		for attempt := 0; attempt < 2; attempt++ {
 			resp, err := http.Post(hs.URL+"/v1/frontier", "application/json", strings.NewReader(tc.body))

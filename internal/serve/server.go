@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -578,6 +579,9 @@ func (s *Server) resolve(c *chain.Chain, net *NetSpec, ps PlatformSpec, os Optio
 	if plat.Workers > core.MaxDPIndex {
 		return nil, platform.Platform{}, core.Options{}, fmt.Errorf("workers must be at most %d (the planner's processor limit), got %d", core.MaxDPIndex, plat.Workers)
 	}
+	if err := finiteCosts(rc, plat); err != nil {
+		return nil, platform.Platform{}, core.Options{}, err
+	}
 	if os.MaxChain < 0 {
 		return nil, platform.Platform{}, core.Options{}, fmt.Errorf("max_chain must be >= 0, got %d", os.MaxChain)
 	}
@@ -595,6 +599,27 @@ func (s *Server) resolve(c *chain.Chain, net *NetSpec, ps PlatformSpec, os Optio
 		return nil, platform.Platform{}, core.Options{}, err
 	}
 	return rc, plat, opts, nil
+}
+
+// finiteCosts rejects a chain and platform whose total compute or
+// communication time overflows: finite fields can still sum to +Inf
+// (layer times near 1e308, a latency of 1e308, a bandwidth of 1e-300),
+// and the planner would then search an infinite period range and fail
+// to encode its report. The error names the field at fault: chain when
+// the layer times overflow, latency when the per-link latencies alone
+// do, bandwidth otherwise.
+func finiteCosts(c *chain.Chain, plat platform.Platform) error {
+	u := c.TotalU()
+	if math.IsInf(u, 1) {
+		return fmt.Errorf("chain: total layer compute time overflows (%g)", u)
+	}
+	if !math.IsInf(u+c.TotalCommTimeAlphaBeta(plat.Latency, plat.Bandwidth), 1) {
+		return nil
+	}
+	if math.IsInf(c.TotalCommTimeAlphaBeta(plat.Latency, math.Inf(1)), 1) {
+		return fmt.Errorf("latency %g makes the chain's total communication time overflow", plat.Latency)
+	}
+	return fmt.Errorf("bandwidth %g makes the chain's total communication time overflow", plat.Bandwidth)
 }
 
 // serveMemo writes key's memoized answer as a hit and counts it, or

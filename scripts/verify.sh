@@ -63,7 +63,7 @@ go test -run '^$' -bench 'BenchmarkFig6ResNet50|BenchmarkMadPipeDP$' -benchtime 
 # gate fails only on allocation regressions (deterministic: fixed
 # seeds); the threshold absorbs sync.Pool variance under GC pressure.
 # ns/op deltas still print for the reviewer.
-echo "== benchmark regression check (gate: allocs/op + live warm reuse)"
+echo "== benchmark regression check (gate: allocs/op + live warm reuse: warm states/op < cold)"
 go run ./cmd/benchdiff -bench 'BenchmarkMadPipeDP$|BenchmarkAlgorithm1$|BenchmarkAlgorithm1Sweep' -benchtime 5x -write=false -gate allocs -threshold 0.5 -warm
 
 # The sweep's probe count is an exact function of the grid and the
@@ -108,19 +108,10 @@ go run ./cmd/benchdiff -bench 'BenchmarkGPTRawParallel$' -benchtime 1x -write=fa
 # states/op and cuts/op are exact functions of the input, so any drift —
 # up or down — is a solver-behavior change and fails outright, and
 # floorskip/op (children the work-conservation floor skipped) prints
-# beside them. Value certificates are armed only on chains the
-# cut-column cache covers (colMaxL layers), where a column entry
-# computes each cut's validity interval once; past it the interval
-# would run on every cut visit. The probe must therefore record none,
-# pinned by a hard check on the run's own valcerts/op value (whatever
-# the snapshot holds).
-echo "== raw long-chain probe (gate: states/op + cuts/op exact, 0 valcerts/op)"
-RAW_FAIL=
-RAW_PROBE="$(go run ./cmd/benchdiff -bench 'BenchmarkGPTRawProbe$' -benchtime 1x -write=false -gate states/op,cuts/op -threshold 0)" || RAW_FAIL=1
-echo "$RAW_PROBE"
-[ -z "$RAW_FAIL" ] || { echo "raw long-chain probe work drifted from the snapshot"; exit 1; }
-[ "$(echo "$RAW_PROBE" | awk '$1 == "GPTRawProbe" && $2 == "valcerts/op" { print $4 }')" = 0 ] || {
-	echo "a raw long-chain probe recorded value certificates; the inline cut path re-armed them"
+# beside them.
+echo "== raw long-chain probe (gate: states/op + cuts/op, exact)"
+go run ./cmd/benchdiff -bench 'BenchmarkGPTRawProbe$' -benchtime 1x -write=false -gate states/op,cuts/op -threshold 0 || {
+	echo "raw long-chain probe work drifted from the snapshot"
 	exit 1
 }
 

@@ -255,10 +255,15 @@ func serveMemoBench(b *testing.B, repeat, inline bool) {
 	}
 	// Unique memory limit per op: every request fingerprints fresh. The
 	// bodies render outside the timed loop so both benchmarks time the
-	// same client work.
+	// same client work. One untimed miss at a limit the loop never uses
+	// leaves the worker's tables warm, so allocs/op measures the steady
+	// state, not a fresh table's blocks (see BenchmarkMadPipeDP).
 	bodies := make([][]byte, b.N)
 	for i := range bodies {
 		bodies[i] = render(9 + 1e-6*float64(i+1))
+	}
+	if memo := post(render(8.5)); memo != "miss" {
+		b.Fatalf("warm-up: memo=%q, want miss", memo)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
