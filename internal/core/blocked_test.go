@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"madpipe/internal/chain"
+	"madpipe/internal/platform"
 )
 
 // TestBlockedTableRoundTrip drives the blocked storage directly on a
@@ -25,14 +28,14 @@ func TestBlockedTableRoundTrip(t *testing.T) {
 		if _, ok := tab.get(idx); ok {
 			t.Fatalf("idx %d readable before any write", idx)
 		}
-		tab.put(idx, dpEntry{period: float64(i + 1), k: int16(i)})
+		tab.put(idx, dpEntry{period: float64(i + 1), k: int32(i)})
 	}
 	if int(tab.nAlloc) != len(idxs) {
 		t.Fatalf("nAlloc = %d after %d scattered writes", tab.nAlloc, len(idxs))
 	}
 	for i, idx := range idxs {
 		e, ok := tab.get(idx)
-		if !ok || e.period != float64(i+1) || e.k != int16(i) {
+		if !ok || e.period != float64(i+1) || e.k != int32(i) {
 			t.Fatalf("idx %d: lost entry %+v (ok=%v)", idx, e, ok)
 		}
 	}
@@ -119,16 +122,25 @@ func TestBlockedMatchesMapDP(t *testing.T) {
 
 // TestIndexWidthBoundaries pins the packed-index arithmetic at the
 // historical and structural width boundaries: 255/256 (the old 8-bit
-// packing bug), 1024/1025 (the column cache's colMaxL cliff) and 4096
-// (well past every per-field byte boundary in dpState and colEnt).
-// Table solver vs map DP, bit-identical.
+// packing bug), 1024/1025 (the column cache's colMaxL cliff), 4096
+// (well past every per-field byte boundary in dpState and colEnt),
+// 16,382/16,383 (either side of the old 14-bit decision field) and
+// 32,768 (past int16). Table solver vs map DP, bit-identical.
+//
+// The long chains plan on P = 2 over a 2x2x2 grid: one normal processor
+// makes every normal child a base case and the two-point t_P grid
+// prices every special child at TotalU, so each probe is linear in L
+// while the chosen cut still lands near L/2.
 func TestIndexWidthBoundaries(t *testing.T) {
-	lengths := []int{255, 256, 1024, 1025, 4096}
+	lengths := []int{255, 256, 1024, 1025, 4096, 16382, 16383, 32768}
 	for _, L := range lengths {
 		c := chain.Uniform(L, 1e-3, 2e-3, 1e6, 1e6)
 		pl := plat(4, 1e12, 1e12)
 		disc := Discretization{TP: 5, MP: 3, V: 9}
-		that := c.TotalU() / 4
+		if L > 4096 {
+			pl.Workers, disc = 2, Discretization{TP: 2, MP: 2, V: 2}
+		}
+		that := c.TotalU() / float64(pl.Workers)
 
 		got, err := runDP(c, pl, that, dpConfig{disc: disc})
 		if err != nil {
@@ -157,6 +169,71 @@ func TestIndexWidthBoundaries(t *testing.T) {
 				t.Fatalf("L=%d: stage %d differs", L, i)
 			}
 		}
+	}
+}
+
+// heavyTailChain is n layers of UF/UB = 1e-6/2e-6 s whose last layer is
+// 1/2 s: on two processors the best plan puts the heavy layer alone on
+// the normal processor and the light prefix on the special one, so the
+// root's decision is the cut k = n.
+func heavyTailChain(n int) *chain.Chain {
+	layers := make([]chain.Layer, n)
+	for i := range layers {
+		layers[i] = chain.Layer{UF: 1e-6, UB: 2e-6, W: 1e6, A: 1e6}
+	}
+	layers[n-1].UF, layers[n-1].UB = 1, 2
+	return chain.MustNew("heavy-tail", 1e6, layers)
+}
+
+// TestCutPastLayer32767: a decision past layer 32,767 round-trips through
+// the table. The decision used to be an int16, so on the 32,769-layer
+// chain the cut at its last layer wrapped negative and reconstruction
+// failed ("hit base entry with p=1") within milliseconds, while the
+// 32,767-layer twin planned.
+func TestCutPastLayer32767(t *testing.T) {
+	for _, n := range []int{32767, 32769} {
+		c := heavyTailChain(n)
+		res, err := PlanAllocation(c, plat(2, 1e13, 1e12), Options{
+			Disc: Discretization{TP: 2, MP: 2, V: 2}, Iterations: 1, Parallel: 1,
+		})
+		if err != nil {
+			t.Fatalf("%d layers: %v", n, err)
+		}
+		spans := res.Alloc.Spans
+		if last := spans[len(spans)-1]; last != (chain.Span{From: n, To: n}) {
+			t.Fatalf("%d layers: last stage %v, want the heavy layer alone as [%d, %d]", n, last, n, n)
+		}
+	}
+}
+
+// TestNormalsClampedToChain: with more normal processors than layers the
+// table plans on normals == L (T(l, p, ·) does not depend on p once
+// p >= l), and a 24-layer chain on 7,000 workers at the paper's grid
+// returns the unclamped map reference's period, spans and processors —
+// the special processor keeps its index P-1 — on a table sized for the
+// clamped shape. One platform is communication-bound (8 stages), the
+// other memory-bound (24 stages).
+func TestNormalsClampedToChain(t *testing.T) {
+	c := chain.Random(rand.New(rand.NewSource(7)), 24, chain.DefaultRandomOptions())
+	disc := DefaultDiscretization()
+	that := c.TotalU() / 24 * 1.5
+	for _, pl := range []platform.Platform{plat(7000, 1e12, 1e9), plat(7000, 32e9, 12e9)} {
+		got, err := runDP(c, pl, that, dpConfig{disc: disc})
+		if err != nil {
+			t.Fatalf("table: %v", err)
+		}
+		ref, err := runDPMap(c, pl, that, disc, false, chain.WeightPolicy{})
+		if err != nil {
+			t.Fatalf("map: %v", err)
+		}
+		if got.Alloc == nil || ref.Alloc == nil {
+			t.Fatalf("%+v: want a feasible plan on both sides: table %v, map %v", pl, got.Period, ref.Period)
+		}
+		sameDP(t, fmt.Sprintf("%+v", pl), got, ref)
+		if want := uint64(tableStates(24, 24, disc.TP, disc.MP, disc.V) * stateBytes); got.Stats.TableVirtualBytes != want {
+			t.Fatalf("%+v: table sized %d bytes, want the clamped shape's %d", pl, got.Stats.TableVirtualBytes, want)
+		}
+		t.Logf("%+v: period %g, %d stages; %d table states, %d map states", pl, got.Period, len(got.Alloc.Spans), got.States, ref.States)
 	}
 }
 

@@ -15,9 +15,11 @@
 // packed, blocked table (see table.go) instead of recursing through a
 // hash-map memo, and hoists every per-(k,l) invariant — prefix compute
 // times, link busy times, the components of the stage-memory formula —
-// into flat slices built once per dpRun. Shapes too large for the table
-// fall back to the legacy map-based DP (dp_map.go), which computes
-// bit-identical results.
+// into flat slices built once per dpRun. The table is the only solver:
+// a shape past its bounds (MaxDPIndex layers or normal processors, or
+// 2^33 virtual states) is rejected with ErrShapeTooLarge before any
+// table is sized. The recursive map-memoized formulation survives as the
+// tests' reference (dp_map_test.go).
 //
 // # Concurrency invariants
 //
@@ -84,8 +86,8 @@ const inf = math.MaxFloat64
 
 // max3 is max(a, max(b, c)) by direct comparison. Periods are positive
 // and never NaN, so this returns the same float as the math.Max chain
-// the map solver uses, without the archMax call the compiler won't
-// inline.
+// of the recurrence's textbook form, without the archMax call the
+// compiler won't inline.
 func max3(a, b, c float64) float64 {
 	if b > a {
 		a = b
@@ -265,7 +267,7 @@ func (r *dpRun) mPinRound(imP, imPN int, smem float64) {
 
 type dpEntry struct {
 	period  float64
-	k       int16 // chosen stage start layer; -1 for base cases
+	k       int32 // chosen stage start layer; -1 for base cases
 	special bool  // chosen branch
 }
 
@@ -306,29 +308,20 @@ func (r *dpRun) ceilT(x float64) float64 {
 	return math.Ceil(x/r.that - 1e-9)
 }
 
-// oplus is the ⊕ operator of Section 4.2.2: advance a delay x by a work
-// amount y, snapping x up to the next multiple of T̂ when the addition
-// crosses a group boundary. The solvers evaluate it through cutDelay;
-// this direct form is the reference the map DP and the tests run.
-func (r *dpRun) oplus(x, y float64) float64 {
-	if r.ceilT(x+y) == r.ceilT(x) {
-		return x + y
-	}
-	return r.that*r.ceilT(x) + y
-}
-
 // cutDelay is the delay arithmetic of a cut [k, l] with work u and
 // per-batch compute cl = cLeft[k] under downstream delay v. It returns
 // cw = ceilT(v+u), from which groupCount gives the cut's group count,
-// and the child's delay oplus(oplus(v, u), cl), evaluating each ceilT
-// once. cv is ceilT(v), which a caller scanning the cuts of one state
-// computes once per state. cw serves both the group count and the first
-// ⊕'s crossing side. A snap keeps oplus's T̂·n + y expression, so the float
-// results equal the reference's on every architecture. Every table-DP
-// path (solve's inline arm, fillEnt, reconstruct) goes through here;
-// groupsU and oplus stay as the reference the map DP and the tests run.
-// Returning cw rather than the clamped count keeps the body under the
-// compiler's inlining budget, which solve's cut loop needs.
+// and the child's delay (v ⊕ u) ⊕ cl, evaluating each ceilT once; ⊕ is
+// Section 4.2.2's operator: advance a delay by a work amount, snapping
+// it up to the next multiple of T̂ when the sum crosses a group
+// boundary. cv is ceilT(v), which a caller scanning the cuts of one
+// state computes once per state. cw serves both the group count and the
+// first ⊕'s crossing side. A snap keeps ⊕'s T̂·n + y expression, so the
+// float results equal the textbook form's (the tests' oplus) on every
+// architecture. Every DP path (solve's inline arm, fillEnt, reconstruct)
+// goes through here. Returning cw rather than the clamped count keeps
+// the body under the compiler's inlining budget, which solve's cut loop
+// needs.
 func (r *dpRun) cutDelay(v, cv, u, cl float64) (cw, vNext float64) {
 	vNext = v + u
 	cw = r.ceilT(vNext)
@@ -343,14 +336,9 @@ func (r *dpRun) cutDelay(v, cv, u, cl float64) (cw, vNext float64) {
 	return cw, vNext + cl
 }
 
-// groups returns g(k,l,V) = ceil((V + U(k,l)) / T̂), the number of
-// activation copies a stage [k,l] must retain when the downstream delay
-// is V.
-func (r *dpRun) groups(k, l int, v float64) int {
-	return r.groupsU(v, r.c.U(k, l))
-}
-
-// groupsU is groups with U(k,l) already in hand.
+// groupsU returns g(k,l,V) = ceil((V + U(k,l)) / T̂) from u = U(k,l):
+// the number of activation copies a stage [k,l] must retain when the
+// downstream delay is V.
 func (r *dpRun) groupsU(v, u float64) int {
 	return groupCount(r.ceilT(v + u))
 }
@@ -361,8 +349,7 @@ func groupCount(c float64) int {
 }
 
 // stageMem evaluates the stage memory M(k,l,g) from the hoisted prefix
-// slices, operation-for-operation identical to chain.StageMemoryWith so
-// that the table DP and the legacy map DP take bit-identical decisions.
+// slices, operation-for-operation identical to chain.StageMemoryWith.
 func (r *dpRun) stageMem(k, l, g int) float64 {
 	m := (r.wFixed+r.wPerBatch*float64(g))*(r.sumWTo[l]-r.sumWTo[k-1]) + float64(g)*(r.asTo[l]-r.asTo[k-1])
 	if k > 1 {
@@ -446,10 +433,7 @@ func (r *dpRun) init() {
 	}
 	r.wFixed, r.wPerBatch = w.Fixed, w.PerBatch
 	r.floorSlack = 1.001e-9*r.stepT + 1e-15*(c.TotalU()+float64(r.nT-1)*r.stepT)
-	h := &hoistCache{} // map-fallback runs have no table to cache on
-	if r.tab != nil {
-		h = &r.tab.hoist
-	}
+	h := &r.tab.hoist
 	key := hoistKey{c: c, lat: r.plat.Latency, bw: r.plat.Bandwidth, weights: w}
 	if h.key == key && len(h.uTo) == L+1 {
 		r.uTo, r.sumWTo, r.asTo, r.twoA, r.cLeft = h.uTo, h.sumWTo, h.asTo, h.twoA, h.cLeft
@@ -666,7 +650,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					}
 					cand := max3(u, cl, sub)
 					if cand < f.best.period {
-						f.best = dpEntry{period: cand, k: int16(k)}
+						f.best = dpEntry{period: cand, k: int32(k)}
 					}
 				}
 			}
@@ -716,7 +700,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					}
 					cand := max3(tNext, cl, sub)
 					if cand < f.best.period {
-						f.best = dpEntry{period: cand, k: int16(k), special: true}
+						f.best = dpEntry{period: cand, k: int32(k), special: true}
 					}
 				}
 			}
@@ -755,14 +739,13 @@ type DPResult struct {
 	// States is the number of tabulated DP states, for diagnostics.
 	States int
 	// Stats is the run's full counter set, populated only when the
-	// planner's observability is enabled (Options.Obs != nil); the zero
-	// value otherwise. The legacy map fallback is uninstrumented beyond
-	// States.
+	// planner's observability is enabled (Options.Obs != nil); otherwise
+	// only the table economics (TableVirtualBytes, TableResidentBytes,
+	// TableBlocksResident) are set.
 	Stats DPStats
 	// MLo/MHi bound the half-open memory-limit interval [MLo, MHi) on
 	// which this probe provably replays bit-identically (frontier mode
-	// only; both zero otherwise). The map fallback tracks nothing and
-	// reports the degenerate single-point interval at the run's limit.
+	// only; both zero otherwise).
 	MLo, MHi float64
 }
 
@@ -812,14 +795,14 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 	if cfg.disableSpecial {
 		nT, nM = 1, 1
 	}
-	if !tableFits(c.Len(), normals, nT, nM, disc.V) {
-		res, err := runDPMap(c, plat, that, disc, cfg.disableSpecial, cfg.weights)
-		if err == nil && cfg.mtrack {
-			// The map solver tracks no intervals; claim only the single
-			// memory limit it actually ran at.
-			res.MLo, res.MHi = plat.Memory, math.Nextafter(plat.Memory, inf)
-		}
-		return res, err
+	// T(l, p, ·) does not depend on p once p >= l: a prefix of l layers
+	// uses at most l normal stages, no path reaches the p == 0 base case
+	// before l == 0, and the only other read of p — the load floor's 1/p
+	// — never changes a value or decision. So normals past the chain
+	// length plan exactly as normals == L, on a table sized for L.
+	normals, err := clampShape(c.Len(), normals, nT, nM, disc.V)
+	if err != nil {
+		return nil, err
 	}
 
 	totalU := c.TotalU()

@@ -10,29 +10,37 @@ import (
 )
 
 // This file keeps the original recursive, map-memoized formulation of
-// MadPipe-DP. It serves two roles:
-//
-//   - fallback for shapes the table cannot represent (chains past
-//     tableMaxL layers or state spaces past tableMaxStates), where a hash
-//     map only pays for reachable states;
-//   - executable reference: TestDenseMatchesMapDP asserts that the table
-//     explicit-stack solver returns bit-identical periods, allocations
-//     and state counts on randomized chains.
+// MadPipe-DP as the executable reference: TestDenseMatchesMapDP,
+// TestBlockedMatchesMapAtWidths, TestIndexWidthBoundaries and
+// FuzzTableMatchesMapDP assert that the table solver returns
+// bit-identical periods, allocations and (wherever normals <= layers)
+// state counts. It runs the textbook ⊕ and group-count arithmetic
+// (oplus, groups) rather than the solver's fused cutDelay.
 
-// mapKey packs a DP state into a uint64. l and p get 16 bits each —
-// the historical packing gave them 8, silently aliasing states on chains
-// longer than 255 layers — and the grid indices are bounded by
-// Discretization.validate (t_P, m_P ≤ 256 values) so 8+8+16 bits suffice.
+// oplus is the ⊕ operator of Section 4.2.2: advance a delay x by a work
+// amount y, snapping x up to the next multiple of T̂ when the addition
+// crosses a group boundary. The solver evaluates it through cutDelay.
+func (r *dpRun) oplus(x, y float64) float64 {
+	if r.ceilT(x+y) == r.ceilT(x) {
+		return x + y
+	}
+	return r.that*r.ceilT(x) + y
+}
+
+// groups returns g(k,l,V) = ceil((V + U(k,l)) / T̂), the number of
+// activation copies a stage [k,l] must retain when the downstream delay
+// is V.
+func (r *dpRun) groups(k, l int, v float64) int {
+	return r.groupsU(v, r.c.U(k, l))
+}
+
+// mapKey packs a DP state into a uint64: l and p get 16 bits each (up
+// to MaxDPIndex), and the grid indices are bounded by
+// Discretization.validate (t_P, m_P ≤ 256 values) so 8+8+16 bits
+// suffice.
 func mapKey(l, p, itP, imP, iV int) uint64 {
 	return uint64(l) | uint64(p)<<16 | uint64(itP)<<32 | uint64(imP)<<40 | uint64(iV)<<48
 }
-
-// MaxDPIndex is the largest chain length (in layers) and the largest
-// normal-processor count every MadPipe-DP path plans: mapKey packs each
-// into 16 bits, so the map fallback rejects larger shapes with an error.
-// Exported so API layers (internal/serve) can reject such requests at
-// admission, before building a chain or queueing a plan.
-const MaxDPIndex = 1<<16 - 1
 
 type mapRun struct {
 	dpRun
@@ -87,7 +95,7 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 			sub := r.solveRec(k-1, p-1, itP, imP, iVN)
 			cand := math.Max(u, math.Max(cLeft, sub))
 			if cand < best.period {
-				best = dpEntry{period: cand, k: int16(k)}
+				best = dpEntry{period: cand, k: int32(k)}
 			}
 		}
 
@@ -109,7 +117,7 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 				sub := r.solveRec(k-1, p, itPN, imPN, iVN)
 				cand := math.Max(tNext, math.Max(cLeft, sub))
 				if cand < best.period {
-					best = dpEntry{period: cand, k: int16(k), special: true}
+					best = dpEntry{period: cand, k: int32(k), special: true}
 				}
 			}
 		}
@@ -117,9 +125,9 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 	return best
 }
 
-// runDPMap executes the legacy map-based MadPipe-DP. It accepts any
-// chain length up to the mapKey packing limit and rejects longer inputs
-// with a clear error instead of silently aliasing states.
+// runDPMap executes the map-based MadPipe-DP on the unclamped normal
+// processor count. It rejects shapes past the mapKey packing limit
+// instead of silently aliasing states.
 func runDPMap(c *chain.Chain, plat platform.Platform, that float64, disc Discretization, disableSpecial bool, weights chain.WeightPolicy) (*DPResult, error) {
 	if that <= 0 {
 		return nil, fmt.Errorf("core: target period must be positive, got %g", that)
@@ -132,7 +140,7 @@ func runDPMap(c *chain.Chain, plat platform.Platform, that float64, disc Discret
 		normals = plat.Workers
 	}
 	if c.Len() > MaxDPIndex || normals > MaxDPIndex {
-		return nil, fmt.Errorf("core: chain length %d or processor count %d exceeds the DP state packing limit %d",
+		return nil, fmt.Errorf("core: chain length %d or processor count %d exceeds the map key's packing limit %d",
 			c.Len(), normals, MaxDPIndex)
 	}
 	r := newMapRun(c, plat, that, disc, disableSpecial, weights)
@@ -150,7 +158,8 @@ func runDPMap(c *chain.Chain, plat platform.Platform, that float64, disc Discret
 }
 
 // newMapRun prepares a map-memoized run: grid steps, hoisted prefix
-// slices and an empty memo.
+// slices (cached on a private table the run never otherwise touches)
+// and an empty memo.
 func newMapRun(c *chain.Chain, plat platform.Platform, that float64, disc Discretization, disableSpecial bool, weights chain.WeightPolicy) *mapRun {
 	totalU := c.TotalU()
 	r := &mapRun{
@@ -162,6 +171,7 @@ func newMapRun(c *chain.Chain, plat platform.Platform, that float64, disc Discre
 			stepT: totalU / float64(disc.TP-1),
 			stepM: plat.Memory / float64(disc.MP-1),
 			stepV: (totalU + c.TotalCommTimeAlphaBeta(plat.Latency, plat.Bandwidth)) / float64(disc.V-1),
+			tab:   new(dpTable),
 		},
 		memo: make(map[uint64]dpEntry),
 	}

@@ -116,12 +116,15 @@ func sameDP(t *testing.T, label string, got, want *DPResult) {
 	}
 }
 
-// FuzzTableMatchesMapDP requires the table DP (runDPWith) and the map
-// DP to agree bit-for-bit on tiny instances: once on a fresh table, and
-// at three descending targets on one certificate-armed table, where
-// death certificates recorded at a higher target settle states at the
-// lower ones. The seeds are the first TestExhaustiveOracle instances
-// that fit the fuzz bounds, so plain `go test` runs them.
+// FuzzTableMatchesMapDP requires the production DP (runDPWith on the
+// blocked table) and the map reference to agree bit-for-bit on tiny
+// instances: once on a fresh table, and at three descending targets on
+// one certificate-armed table, where death certificates recorded at a
+// higher target settle states at the lower ones. Up to four processors
+// on chains of one layer and up, so the table's clamp of normal
+// processors to the chain length meets the unclamped reference too. The
+// seeds are the first TestExhaustiveOracle instances that fit the fuzz
+// bounds, so plain `go test` runs them.
 func FuzzTableMatchesMapDP(f *testing.F) {
 	rng := rand.New(rand.NewSource(19)) // TestExhaustiveOracle's stream
 	for seeds := 0; seeds < 8; {

@@ -56,7 +56,7 @@ func (r *exhaustiveRun) eval(l, p, itP, imP, iV int) dpEntry {
 		if r.stageMem(k, l, g) <= r.mem {
 			cand := math.Max(u, math.Max(cl, r.value(k-1, p-1, itP, imP, iVN)))
 			if cand < best.period {
-				best = dpEntry{period: cand, k: int16(k)}
+				best = dpEntry{period: cand, k: int32(k)}
 			}
 		}
 		if r.disableSpecial {
@@ -68,7 +68,7 @@ func (r *exhaustiveRun) eval(l, p, itP, imP, iV int) dpEntry {
 			sub := r.value(k-1, p, itPN, imPN, iVN)
 			cand := math.Max(float64(itPN)*r.stepT, math.Max(cl, sub))
 			if cand < best.period {
-				best = dpEntry{period: cand, k: int16(k), special: true}
+				best = dpEntry{period: cand, k: int32(k), special: true}
 			}
 		}
 	}

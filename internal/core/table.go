@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"unsafe"
 
@@ -16,9 +18,9 @@ import (
 // certificates — translates directly into bytes never allocated: a
 // 2000-layer op-granularity profile under the paper's special-mode
 // grids is a multi-GB virtual plane of which the solver touches a few
-// percent. Presence is tracked with an epoch stamp folded into the
-// per-state metadata word, so re-probing the same planner at a new
-// target period T̂ only bumps the stamp instead of clearing memory.
+// percent. Presence is tracked with a per-state epoch stamp, so
+// re-probing the same planner at a new target period T̂ only bumps the
+// stamp instead of clearing memory.
 // Tables are recycled through a sync.Pool so a full Algorithm 1 run —
 // and a whole sweep — reuses its blocks.
 
@@ -38,24 +40,45 @@ const (
 // tableMaxStates bounds the table's virtual state space. The cost of an
 // untouched region is its directory entry (a block pointer and a write
 // stamp: 10 bytes per 1024 states, 80 MB at the cap), not state bytes.
-// Shapes beyond it — or chains beyond tableMaxL, whose k no longer fits
-// the meta word — fall back to the legacy map-based DP.
+// Larger shapes are rejected with ErrShapeTooLarge.
 const tableMaxStates = 1 << 33
 
-// metaStampShift packs the epoch stamp in the high 16 bits of the meta
-// word; the low bits hold the reconstruction decision: (k+1) in bits
-// 2..15 and the special-processor flag in bit 1. A state is present iff
-// its stamp matches the table's current stamp.
-const (
-	metaStampShift = 16
-	metaKShift     = 2
-	metaKMask      = 0x3FFF
-	metaSpecialBit = 1 << 1
-)
+// MaxDPIndex is the largest chain length (in layers) and the largest
+// normal-processor count MadPipe-DP plans; larger shapes are rejected
+// with ErrShapeTooLarge. With normals clamped to the chain length and
+// the grid sizes Discretization.validate admits, it keeps tableStates at
+// most 2^54, so the state count never overflows on its way to the
+// tableMaxStates check. Exported so API layers (internal/serve) can
+// reject such requests at admission, before building a chain or queueing
+// a plan.
+const MaxDPIndex = 1<<16 - 1
 
-// tableMaxL is the largest chain length representable in the meta word's
-// k field (k+1 must fit in 14 bits).
-const tableMaxL = metaKMask - 1
+// ErrShapeTooLarge reports a DP shape the table cannot plan: a chain or
+// normal-processor count past MaxDPIndex, or more than tableMaxStates
+// (2^33) virtual states once normals are clamped to the chain length.
+// It is a deterministic property of the request — chain length, worker
+// count and grid sizes — checked before any table is sized.
+var ErrShapeTooLarge = errors.New("core: DP shape too large")
+
+// clampShape returns the normal-processor count the table plans a chain
+// of l layers on — normals clamped to l (see runDPWith) — or
+// ErrShapeTooLarge when the shape is past the table's bounds.
+func clampShape(l, normals, nT, nM, nV int) (int, error) {
+	if l > MaxDPIndex || normals > MaxDPIndex {
+		return 0, fmt.Errorf("%w: %d layers and %d normal processors, at most %d each",
+			ErrShapeTooLarge, l, normals, MaxDPIndex)
+	}
+	normals = min(normals, l)
+	if n := tableStates(l, normals, nT, nM, nV); n > tableMaxStates {
+		return 0, fmt.Errorf("%w: %d virtual states (%d layers, %d normal processors, %dx%dx%d grid), over the limit of 2^33 = %d",
+			ErrShapeTooLarge, n, l, normals, nT, nM, nV, tableMaxStates)
+	}
+	return normals, nil
+}
+
+// stampWrap is where the table's epoch stamp restarts: block write
+// stamps (dpTable.wrote) hold 16 bits.
+const stampWrap = 1 << 16
 
 // dpState is one table state, padded to 32 bytes so two states share a
 // cache line and every lookup a cut performs — current value and death
@@ -65,17 +88,20 @@ const tableMaxL = metaKMask - 1
 // both the planner's memory and how many child lookups share a line.
 //
 // Fields:
-//   - period/meta: the current DP value and the packed stamp/decision
-//     word ((k+1) in bits 2..15, special flag in bit 1, stamp above).
+//   - period/stamp: the current DP value, present iff stamp equals the
+//     table's current stamp.
 //   - certThat/certSeen: the death certificate — the largest target
 //     period at which the state was proven memory-dead, validated by
 //     certSeen against certEpoch.
+//   - dec: the reconstruction decision, (k+1)<<1 | special, so k
+//     reaches MaxDPIndex.
 type dpState struct {
 	period   float64
-	meta     uint32
+	stamp    uint32
 	certSeen uint32
 	certThat float64
-	_        [8]byte // pad 24 -> 32: two states per cache line
+	dec      uint32
+	_        [4]byte // pad 28 -> 32: two states per cache line
 }
 
 type dpTable struct {
@@ -139,18 +165,6 @@ func tableStates(l, normals, nT, nM, nV int) int {
 	return (l + 1) * (normals + 1) * nT * nM * nV
 }
 
-// tableFits reports whether the table can represent the shape at all;
-// beyond it the map DP runs, which rejects normals past MaxDPIndex. That
-// bound also keeps tableStates from overflowing: with the grid sizes
-// Discretization.validate admits and l <= tableMaxL the product stays
-// under 2^52, where an unbounded worker count would wrap it negative.
-func tableFits(l, normals, nT, nM, nV int) bool {
-	if l > tableMaxL || normals > MaxDPIndex {
-		return false
-	}
-	return tableStates(l, normals, nT, nM, nV) <= tableMaxStates
-}
-
 // reset prepares the table for one DP run over the given shape, keeping
 // every resident block. Certificates survive resets: with the
 // p-outermost index layout their contents stay addressable when only nP
@@ -183,10 +197,10 @@ func (t *dpTable) reset(nL, nP, nT, nM, nV int) {
 	}
 	t.blocks, t.wrote = t.blocks[:nB], t.wrote[:nB]
 	t.stamp++
-	if t.stamp >= 1<<metaStampShift {
-		// Stamp space exhausted: clear the decision words of every
-		// resident block, in the directory's full capacity, and the write
-		// stamps, then restart. Certificate fields are untouched: their
+	if t.stamp >= stampWrap {
+		// Stamp space exhausted: clear the state stamps of every resident
+		// block, in the directory's full capacity, and the write stamps,
+		// then restart. Certificate fields are untouched: their
 		// validity is tracked by epochs, not stamps. Amortized to nothing
 		// (once every 65535 probes per table).
 		for _, b := range t.blocks[:cap(t.blocks)] {
@@ -194,7 +208,7 @@ func (t *dpTable) reset(nL, nP, nT, nM, nV int) {
 				continue
 			}
 			for i := range b {
-				b[i].meta = 0
+				b[i].stamp = 0
 			}
 		}
 		clear(t.wrote[:cap(t.wrote)])
@@ -307,20 +321,16 @@ func (t *dpTable) slot(idx int) *dpState {
 
 func (t *dpTable) get(idx int) (dpEntry, bool) {
 	s := t.peek(idx)
-	if s == nil || s.meta>>metaStampShift != t.stamp {
+	if s == nil || s.stamp != t.stamp {
 		return dpEntry{}, false
 	}
-	return dpEntry{
-		period:  s.period,
-		k:       int16(int32(s.meta>>metaKShift&metaKMask) - 1),
-		special: s.meta&metaSpecialBit != 0,
-	}, true
+	return dpEntry{period: s.period, k: int32(s.dec>>1) - 1, special: s.dec&1 != 0}, true
 }
 
 // getPeriod is the hot-path lookup: it avoids materializing a dpEntry.
 func (t *dpTable) getPeriod(idx int) (float64, bool) {
 	s := t.peek(idx)
-	if s == nil || s.meta>>metaStampShift != t.stamp {
+	if s == nil || s.stamp != t.stamp {
 		return 0, false
 	}
 	return s.period, true
@@ -338,13 +348,12 @@ func (t *dpTable) put(idx int, e dpEntry) {
 // evaluations only, so warm probes report the work they actually did.
 // Certificate hits are tracked separately (StatesCertPruned).
 func (t *dpTable) putAdopted(idx int, e dpEntry) {
-	m := t.stamp<<metaStampShift | uint32(int32(e.k)+1)<<metaKShift
+	d := uint32(e.k+1) << 1
 	if e.special {
-		m |= metaSpecialBit
+		d |= 1
 	}
 	s := t.slot(idx)
-	s.period = e.period
-	s.meta = m
+	s.period, s.stamp, s.dec = e.period, t.stamp, d
 }
 
 // tableTrimFactor bounds a pooled table's retained blocks: when they

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -11,11 +11,13 @@ import (
 )
 
 // TestDenseMatchesMapDP is the equivalence property between the
-// table-backed explicit-stack solver and the legacy map-based recursive
-// DP: bit-identical periods, state counts and allocations on randomized
-// chains. Bit-identical — not almost-equal — because both formulations
-// are required to perform the same floating-point operations in the
-// same order.
+// table-backed explicit-stack solver and the map-based recursive
+// reference: bit-identical periods, allocations and — wherever the
+// normal-processor count does not exceed the chain length, so the table
+// plans on the unclamped count — state counts on randomized chains.
+// Bit-identical — not almost-equal — because both formulations are
+// required to perform the same floating-point operations in the same
+// order.
 func TestDenseMatchesMapDP(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -36,7 +38,11 @@ func TestDenseMatchesMapDP(t *testing.T) {
 			t.Logf("seed %d: map: %v", seed, err)
 			return false
 		}
-		if got.Period != legacy.Period || got.States != legacy.States {
+		normals := pl.Workers - 1
+		if disableSpecial {
+			normals = pl.Workers
+		}
+		if got.Period != legacy.Period || (normals <= c.Len() && got.States != legacy.States) {
 			t.Logf("seed %d: table (period %v, %d states) != map (period %v, %d states)",
 				seed, got.Period, got.States, legacy.Period, legacy.States)
 			return false
@@ -96,13 +102,23 @@ func TestLongChainNoAliasing(t *testing.T) {
 	}
 }
 
-// TestMapKeyGuard: chains beyond the widened packing limit are rejected
-// with a clear error instead of aliasing states.
+// TestMapKeyGuard: chains past MaxDPIndex layers are rejected with
+// ErrShapeTooLarge before the table sizes its block directory, and the
+// map reference refuses them at its key's packing limit instead of
+// aliasing states.
 func TestMapKeyGuard(t *testing.T) {
 	c := chain.Uniform(MaxDPIndex+1, 1, 1, 1, 1)
-	_, err := runDPMap(c, plat(4, 1e12, 1e12), 1e3, Discretization{TP: 2, MP: 2, V: 2}, false, chain.WeightPolicy{})
-	if err == nil || !strings.Contains(err.Error(), "packing limit") {
-		t.Fatalf("expected packing-limit error, got %v", err)
+	pl := plat(4, 1e12, 1e12)
+	disc := Discretization{TP: 2, MP: 2, V: 2}
+	tab := new(dpTable)
+	if _, err := runDPWith(tab, c, pl, 1e3, dpConfig{disc: disc}); !errors.Is(err, ErrShapeTooLarge) {
+		t.Fatalf("table DP: want ErrShapeTooLarge, got %v", err)
+	}
+	if tab.blocks != nil || tab.wrote != nil {
+		t.Fatalf("a rejected shape sized a %d-block directory", len(tab.blocks))
+	}
+	if _, err := runDPMap(c, pl, 1e3, disc, false, chain.WeightPolicy{}); err == nil {
+		t.Fatal("map reference accepted a chain past its key's packing limit")
 	}
 }
 
@@ -213,16 +229,25 @@ func TestRecordSizes(t *testing.T) {
 	}
 }
 
-// TestDenseFallback: shapes the DP table cannot represent must route to the
-// map DP and still produce the same answer as the map DP called
-// directly.
+// TestDenseFallback: a shape past the table's 2^33 virtual states is
+// rejected with ErrShapeTooLarge before any table is sized — there is no
+// second solver to fall back to —, the state count is taken after normals
+// are clamped to the chain length, and a shape inside the bounds plans
+// exactly like the map reference.
 func TestDenseFallback(t *testing.T) {
-	if tableFits(tableMaxL+1, 1, 1, 1, 2) {
-		t.Fatalf("tableFits accepted an over-long chain")
+	big := Discretization{TP: 256, MP: 64, V: 256}
+	// A big discretization on a long chain exceeds the table.
+	long := chain.Uniform(10000, 1, 2, 1e6, 1e6)
+	tab := new(dpTable)
+	if _, err := runDPWith(tab, long, plat(9, 1e12, 1e12), long.TotalU()/9, dpConfig{disc: big}); !errors.Is(err, ErrShapeTooLarge) {
+		t.Fatalf("oversized state space: want ErrShapeTooLarge, got %v", err)
 	}
-	// A big discretization on a long chain exceeds even blocked storage.
-	if tableFits(10000, 8, 256, 64, 256) {
-		t.Fatalf("tableFits accepted an oversized state space")
+	if tab.blocks != nil || tab.wrote != nil {
+		t.Fatalf("a rejected shape sized a %d-block directory", len(tab.blocks))
+	}
+	// 21 × 60000 × 256 × 64 × 256 states unclamped, 21 × 21 × ... clamped.
+	if normals, err := clampShape(20, 59999, big.TP, big.MP, big.V); err != nil || normals != 20 {
+		t.Fatalf("clampShape(20 layers, 59999 normals) = %d, %v; want 20 normals", normals, err)
 	}
 	c := chain.Uniform(20, 1, 2, 1e6, 1e6)
 	pl := plat(3, 1e12, 1e12)
@@ -242,17 +267,16 @@ func TestDenseFallback(t *testing.T) {
 }
 
 // TestHugeWorkerCountRejected: a worker count whose packed state count
-// overflows int must not slip past tableFits — it used to wrap negative,
-// pass the bound and panic in dpTable.reset (2^54+1 workers), or plan on
-// wrapped indices and return a plan (2^55+9). Both shapes now route to
-// the map DP, which rejects them at its packing limit.
+// overflows int must not slip past the shape check — it used to wrap
+// negative, pass the bound and panic in dpTable.reset (2^54+1 workers),
+// or plan on wrapped indices and return a plan (2^55+9). Both shapes are
+// past MaxDPIndex normal processors and are rejected with
+// ErrShapeTooLarge before the state count is multiplied out or a table
+// is sized.
 func TestHugeWorkerCountRejected(t *testing.T) {
 	c := chain.Uniform(7, 1e-3, 2e-3, 1e6, 1e6)
 	disc := Discretization{TP: 4, MP: 4, V: 4}
 	for _, workers := range []int{1<<54 + 1, 1<<55 + 9} {
-		if tableFits(c.Len(), workers-1, disc.TP, disc.MP, disc.V) {
-			t.Errorf("workers %d: tableFits accepted the shape", workers)
-		}
 		pl := plat(workers, 1e12, 1e12)
 		func() {
 			defer func() {
@@ -260,14 +284,21 @@ func TestHugeWorkerCountRejected(t *testing.T) {
 					t.Errorf("workers %d: panic: %v", workers, p)
 				}
 			}()
+			tab := new(dpTable)
+			if _, err := runDPWith(tab, c, pl, c.TotalU(), dpConfig{disc: disc}); !errors.Is(err, ErrShapeTooLarge) {
+				t.Errorf("workers %d: table DP: want ErrShapeTooLarge, got %v", workers, err)
+			}
+			if tab.blocks != nil || tab.wrote != nil {
+				t.Errorf("workers %d: a rejected shape sized a %d-block directory", workers, len(tab.blocks))
+			}
 			res, err := PlanAllocation(c, pl, Options{Disc: disc, Parallel: 1})
-			if err == nil || !strings.Contains(err.Error(), "packing limit") {
-				t.Errorf("workers %d: got plan %v, err %v; want a packing-limit error", workers, res, err)
+			if !errors.Is(err, ErrShapeTooLarge) {
+				t.Errorf("workers %d: got plan %v, err %v; want ErrShapeTooLarge", workers, res, err)
 			}
 		}()
 	}
-	if !tableFits(c.Len(), MaxDPIndex, disc.TP, disc.MP, disc.V) {
-		t.Errorf("tableFits rejected a shape inside the packing limit")
+	if normals, err := clampShape(c.Len(), MaxDPIndex, disc.TP, disc.MP, disc.V); err != nil || normals != c.Len() {
+		t.Errorf("clampShape rejected or mis-clamped a shape inside the bounds: %d, %v", normals, err)
 	}
 }
 

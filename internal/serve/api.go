@@ -32,9 +32,11 @@ const (
 // bytes and bytes/second, matching the core model and PlanReport; the
 // *GB convenience fields multiply by 1e9 when the byte field is zero.
 type PlatformSpec struct {
-	// Workers is the processor count, at most core.MaxDPIndex (the DP's
-	// normal-processor packing limit); larger counts are rejected with a
-	// 400.
+	// Workers is the processor count, at most core.MaxDPIndex (the
+	// planner's processor limit); larger counts are rejected with a 400.
+	// Within it, a count whose DP shape passes the planner's 2^33 virtual
+	// table states — after normal processors are clamped to the chain
+	// length — answers 422 (core.ErrShapeTooLarge).
 	Workers     int     `json:"workers"`
 	Memory      float64 `json:"memory,omitempty"`
 	MemoryGB    float64 `json:"memory_gb,omitempty"`

@@ -188,6 +188,101 @@ func TestServeInfeasibleMemoized(t *testing.T) {
 	}
 }
 
+// TestServeShapeTooLarge: a DP shape past the planner's table bounds
+// answers 422 at once, naming what is too large and the request fields
+// that shrink it, and its repeat is a memo hit — like infeasibility, the
+// shape is a property of the request. gpt2 at 256 blocks × granularity
+// 8 is 2,050 layers; on 75 workers and the default 101×11×51 grid that
+// is 8.7e9 virtual states, past 2^33. Before the table planned every
+// shape, this request went to a map-memoized DP whose first probe had
+// not finished after a minute, past the daemon's default deadline. An
+// inline chain past core.MaxDPIndex layers used to answer 500.
+func TestServeShapeTooLarge(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct {
+		name, body string
+		want       []string
+	}{
+		{"gpt2 on 75 workers",
+			`{"net":{"name":"gpt2","blocks":256,"granularity":8},"platform":{"workers":75,"memory_gb":300,"bandwidth_gb":300}}`,
+			[]string{"8715878325 virtual states", "2^33", "disc_tp", "max_chain", "workers"}},
+		{"inline chain past the layer limit",
+			mustJSON(PlanRequest{Chain: testChain(core.MaxDPIndex+1, 1),
+				Platform: PlatformSpec{Workers: 2, MemoryGB: 1e4, BandwidthGB: 12},
+				Options:  OptionsSpec{DiscTP: 2, DiscMP: 2, DiscV: 2}}),
+			[]string{"65536 layers", "max_chain"}},
+	} {
+		start := time.Now()
+		var first []byte
+		for attempt, memo := range []string{"miss", "hit"} {
+			resp, err := http.Post(hs.URL+"/v1/plan", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity || resp.Header.Get(HeaderMemo) != memo {
+				t.Fatalf("%s #%d: status %d memo %q, want 422 %s: %s", tc.name, attempt, resp.StatusCode, resp.Header.Get(HeaderMemo), memo, rb)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(rb, &er); err != nil {
+				t.Fatalf("%s #%d: body is not an ErrorResponse: %s", tc.name, attempt, rb)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(er.Error, want) {
+					t.Errorf("%s #%d: error %q does not name %q", tc.name, attempt, er.Error, want)
+				}
+			}
+			if attempt == 0 {
+				first = rb
+			} else if !bytes.Equal(rb, first) {
+				t.Fatalf("%s: 422 bodies differ between miss and hit", tc.name)
+			}
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Fatalf("%s: oversized shape took %v to answer", tc.name, d)
+		}
+	}
+}
+
+// heavyTailChain is n layers of UF/UB = 1e-6/2e-6 s whose last layer is
+// 1/2 s; on two processors the heavy layer plans alone.
+func heavyTailChain(n int) *chain.Chain {
+	layers := make([]chain.Layer, n)
+	for i := range layers {
+		layers[i] = chain.Layer{UF: 1e-6, UB: 2e-6, W: 1e6, A: 1e6}
+	}
+	layers[n-1].UF, layers[n-1].UB = 1, 2
+	return chain.MustNew("heavy-tail", 1e6, layers)
+}
+
+// TestServeCutPastLayer32767: the daemon plans a 32,769-layer chain whose
+// last cut lands past layer 32,767, with the heavy last layer alone as
+// stage [32769, 32769]. It used to answer 500 within milliseconds (a
+// 16-bit decision wrapped negative in reconstruction), while the
+// 32,767-layer twin planned.
+func TestServeCutPastLayer32767(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1})
+	for _, n := range []int{32767, 32769} {
+		resp, body := postJSON(t, hs.URL+"/v1/plan", PlanRequest{Chain: heavyTailChain(n),
+			Platform: PlatformSpec{Workers: 2, MemoryGB: 1e4, BandwidthGB: 1e3},
+			Options:  OptionsSpec{Iterations: 1, DiscTP: 2, DiscMP: 2, DiscV: 2}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d layers: status %d: %s", n, resp.StatusCode, body)
+		}
+		var rep core.PlanReport
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Stages) == 0 {
+			t.Fatalf("%d layers: no stages in %s", n, body)
+		}
+		if last := rep.Stages[len(rep.Stages)-1]; last.From != n || last.To != n {
+			t.Fatalf("%d layers: last stage [%d, %d], want the heavy layer alone", n, last.From, last.To)
+		}
+	}
+}
+
 // TestServeChurnBitIdentical is the concurrency contract: 8 goroutines
 // hammer a mixed working set and every single response body — hit or
 // miss, whatever worker cache warmth — equals the cold direct-call
@@ -463,30 +558,25 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests: malformed inputs answer 400 with a JSON error,
-// on a repeat too, and leave no body alias behind.
-func TestServeBadRequests(t *testing.T) {
-	srv, hs := newTestServer(t, Config{Workers: 1})
-	// 2^54+1 workers on a 4×4×4 grid wrapped the DP's packed state count
-	// negative and panicked the worker goroutine, taking the daemon down.
-	hugeWorkers, err := json.Marshal(PlanRequest{Chain: testChain(7, 1),
-		Platform: PlatformSpec{Workers: 1<<54 + 1, Memory: 8e9, Bandwidth: 1.2e10},
-		Options:  OptionsSpec{DiscTP: 4, DiscMP: 4, DiscV: 4}})
+// mustJSON marshals a request body known to encode.
+func mustJSON(v any) string {
+	b, err := json.Marshal(v)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	// Finite fields whose costs sum to +Inf used to plan in full and then
-	// answer 500 (the report's +Inf did not encode), or 422 blaming
-	// memory when the layer times themselves overflowed.
-	hugeLayers, err := json.Marshal(PlanRequest{
-		Chain:    chain.MustNew("huge", 1e6, []chain.Layer{{UF: 1e308, UB: 1e308, W: 1e6, A: 1e6}, {UF: 1e308, UB: 1e308, W: 1e6, A: 1e6}}),
-		Platform: PlatformSpec{Workers: 4, Memory: 8e9, Bandwidth: 1.2e10},
-		Options:  OptionsSpec{DiscTP: 4, DiscMP: 4, DiscV: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, body := range map[string]string{
-		"huge workers":      string(hugeWorkers),
+	return string(b)
+}
+
+// badPlanBodies are the /v1/plan bodies that must answer 400, by name.
+// TestServeBadRequests posts them and FuzzKeyPlan seeds from them.
+func badPlanBodies() map[string]string {
+	return map[string]string{
+		// 2^54+1 workers on a 4×4×4 grid wrapped the DP's packed state
+		// count negative and panicked the worker goroutine, taking the
+		// daemon down.
+		"huge workers": mustJSON(PlanRequest{Chain: testChain(7, 1),
+			Platform: PlatformSpec{Workers: 1<<54 + 1, Memory: 8e9, Bandwidth: 1.2e10},
+			Options:  OptionsSpec{DiscTP: 4, DiscMP: 4, DiscV: 4}}),
 		"huge blocks":       `{"net":{"name":"gpt2","blocks":1000000000000,"granularity":8},"platform":{"workers":16,"memory_gb":1800,"bandwidth_gb":300}}`,
 		"not json":          "{",
 		"unknown field":     `{"nets":{"name":"resnet50"}}`,
@@ -503,8 +593,48 @@ func TestServeBadRequests(t *testing.T) {
 		"negative parallel": `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12},"options":{"parallel":-1}}`,
 		"huge latency":      `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth_gb":12,"latency":1e308},"options":{"disc_tp":4,"disc_mp":4,"disc_v":4}}`,
 		"tiny bandwidth":    `{"net":{"name":"resnet50"},"platform":{"workers":4,"memory_gb":10,"bandwidth":1e-300},"options":{"disc_tp":4,"disc_mp":4,"disc_v":4}}`,
-		"huge layer times":  string(hugeLayers),
-	} {
+		// Finite fields whose costs sum to +Inf used to plan in full and
+		// then answer 500 (the report's +Inf did not encode), or 422
+		// blaming memory when the layer times themselves overflowed.
+		"huge layer times": mustJSON(PlanRequest{
+			Chain:    chain.MustNew("huge", 1e6, []chain.Layer{{UF: 1e308, UB: 1e308, W: 1e6, A: 1e6}, {UF: 1e308, UB: 1e308, W: 1e6, A: 1e6}}),
+			Platform: PlatformSpec{Workers: 4, Memory: 8e9, Bandwidth: 1.2e10},
+			Options:  OptionsSpec{DiscTP: 4, DiscMP: 4, DiscV: 4}}),
+	}
+}
+
+// frontierBody is a /v1/frontier body for an 8-layer test chain on four
+// workers with the given ladder.
+func frontierBody(mems, memsGB []float64) string {
+	return mustJSON(FrontierRequest{Chain: testChain(8, 1),
+		Platform: PlatformSpec{Workers: 4, Bandwidth: 1.2e10}, Mems: mems, MemsGB: memsGB})
+}
+
+// badFrontierCases are the /v1/frontier bodies that must answer a 400
+// naming field. Ladder rungs are checked at the boundary: a non-positive
+// rung used to reach the planner and answer 500, a mems_gb rung that
+// overflows to +Inf was caught only as the platform's Memory, and the
+// ladder length had no bound.
+func badFrontierCases() []struct{ name, body, field string } {
+	longLadder := make([]float64, MaxFrontierMems+1)
+	for i := range longLadder {
+		longLadder[i] = 8e9 - float64(i)*1e6
+	}
+	return []struct{ name, body, field string }{
+		{"frontier without ladder", frontierBody(nil, nil), "ladder"},
+		{"negative rung", frontierBody(nil, []float64{10, -1}), "mems_gb"},
+		{"overflowing rung", frontierBody(nil, []float64{1e300, 10}), "mems_gb"},
+		{"zero rung", frontierBody([]float64{8e9, 0}, nil), "mems"},
+		{"too long ladder", frontierBody(longLadder, nil), "mems"},
+		{"frontier huge latency", `{"net":{"name":"resnet50"},"platform":{"workers":4,"bandwidth_gb":12,"latency":1e308},"mems_gb":[10,8]}`, "latency"},
+	}
+}
+
+// TestServeBadRequests: malformed inputs answer 400 with a JSON error,
+// on a repeat too, and leave no body alias behind.
+func TestServeBadRequests(t *testing.T) {
+	srv, hs := newTestServer(t, Config{Workers: 1})
+	for name, body := range badPlanBodies() {
 		for attempt := 0; attempt < 2; attempt++ {
 			resp, err := http.Post(hs.URL+"/v1/plan", "application/json", strings.NewReader(body))
 			if err != nil {
@@ -536,30 +666,7 @@ func TestServeBadRequests(t *testing.T) {
 			}
 		}
 	}
-	// Ladder rungs are checked at the boundary: a non-positive rung used
-	// to reach the planner and answer 500, a mems_gb rung that overflows
-	// to +Inf was caught only as the platform's Memory, and the ladder
-	// length had no bound.
-	frontierBody := func(mems, memsGB []float64) string {
-		b, err := json.Marshal(FrontierRequest{Chain: testChain(8, 1),
-			Platform: PlatformSpec{Workers: 4, Bandwidth: 1.2e10}, Mems: mems, MemsGB: memsGB})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	longLadder := make([]float64, MaxFrontierMems+1)
-	for i := range longLadder {
-		longLadder[i] = 8e9 - float64(i)*1e6
-	}
-	for _, tc := range []struct{ name, body, field string }{
-		{"frontier without ladder", frontierBody(nil, nil), "ladder"},
-		{"negative rung", frontierBody(nil, []float64{10, -1}), "mems_gb"},
-		{"overflowing rung", frontierBody(nil, []float64{1e300, 10}), "mems_gb"},
-		{"zero rung", frontierBody([]float64{8e9, 0}, nil), "mems"},
-		{"too long ladder", frontierBody(longLadder, nil), "mems"},
-		{"frontier huge latency", `{"net":{"name":"resnet50"},"platform":{"workers":4,"bandwidth_gb":12,"latency":1e308},"mems_gb":[10,8]}`, "latency"},
-	} {
+	for _, tc := range badFrontierCases() {
 		for attempt := 0; attempt < 2; attempt++ {
 			resp, err := http.Post(hs.URL+"/v1/frontier", "application/json", strings.NewReader(tc.body))
 			if err != nil {

@@ -861,8 +861,8 @@ func (j *frontierJob) run(ctx context.Context, s *Server, i int) answer {
 // planner itself never sees the registry (responses stay a pure
 // function of the request); the probe stats the report already
 // serializes carry the numbers, so the daemon reads them off the
-// finished result. Every table probe records blocks; only plans whose
-// probes all ran on the map fallback leave the gauges untouched.
+// finished result. Every probe that ran the DP records the blocks it
+// wrote; probes a hint answered record none.
 func (s *Server) observeTableEconomics(p1 *core.PhaseOneResult) {
 	if s.reg == nil || p1 == nil {
 		return
@@ -881,15 +881,19 @@ func (s *Server) observeTableEconomics(p1 *core.PhaseOneResult) {
 	}
 }
 
-// planErrorAnswer classifies a planner error: infeasibility is a
-// deterministic property of the request (422, memoizable); cancellation
-// is a circumstance of this attempt (504, never memoized).
+// planErrorAnswer classifies a planner error: infeasibility and a DP
+// shape past the planner's table bounds are deterministic properties of
+// the request (422, memoizable); cancellation is a circumstance of this
+// attempt (504, never memoized).
 func planErrorAnswer(ctx context.Context, err error) answer {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled), ctx.Err() != nil:
 		return errorAnswer(http.StatusGatewayTimeout, err)
 	case errors.Is(err, platform.ErrInfeasible):
 		return errorAnswer(http.StatusUnprocessableEntity, err)
+	case errors.Is(err, core.ErrShapeTooLarge):
+		return errorAnswer(http.StatusUnprocessableEntity, fmt.Errorf(
+			"%w; a coarser grid (options.disc_tp/disc_mp/disc_v), a shorter chain (options.max_chain) or fewer platform.workers shrinks the state count", err))
 	default:
 		return errorAnswer(http.StatusInternalServerError, err)
 	}

@@ -1,5 +1,6 @@
 #!/bin/sh
 # Tier-1 verification gate (ROADMAP.md): build, vet, full test suite,
+# bounded fuzzing of the DP and the daemon's request keying,
 # a -race smoke over the concurrent planner and sweep paths,
 # a one-iteration benchmark sanity run, and a benchmark-regression check
 # against the committed BENCH_*.json snapshot. Usage: scripts/verify.sh
@@ -39,6 +40,17 @@ fi
 
 echo "== go test"
 go test ./...
+
+# Bounded native fuzzing, one target per run (the go command fuzzes one
+# target at a time): FuzzTableMatchesMapDP checks the production DP, the
+# blocked table, against the map-memoized reference on tiny chains, and
+# FuzzKeyPlan drives the daemon's request keying (decode, resolve,
+# fingerprint) with arbitrary /v1/plan bodies. `go test` above already
+# ran their seeds; a failing input is written under the package's
+# testdata/fuzz/ directory.
+echo "== bounded fuzzing (10 s per target)"
+go test ./internal/core -run '^$' -fuzz '^FuzzTableMatchesMapDP$' -fuzztime 10s -parallel 2
+go test ./internal/serve -run '^$' -fuzz '^FuzzKeyPlan$' -fuzztime 10s -parallel 2
 
 echo "== race smoke (scripts/race_smoke.sh)"
 scripts/race_smoke.sh
