@@ -14,7 +14,8 @@ test:
 	$(GO) test ./...
 
 # verify is the tier-1 gate (see ROADMAP.md), delegated wholesale to
-# scripts/verify.sh: build, vet, staticcheck, full tests, -race smokes
+# scripts/verify.sh: build, vet, staticcheck, full tests, 10 s of
+# fuzzing per target (the DP, /v1/plan and /v1/frontier keying), -race smokes
 # over the concurrent probe/sweep/frontier paths, shuffled
 # expt tests, a one-shot benchmark sanity run, and exact regression
 # checks against the committed BENCH_*.json snapshots (allocs, sweep

@@ -180,9 +180,7 @@ func BenchmarkFig7SweepParallel4(b *testing.B) { fig7Sweep(b, 4) }
 // floors). Both are exact functions of the input, so benchdiff gates on
 // them at a zero threshold; probereduction-x — the per-cell baseline
 // cost over the frontier's — is their ratio and the tentpole's headline
-// (must stay well above 3). pins/op counts the memory-interval pins the
-// DP probes made (DPStats.MemPins, read from the attached registry):
-// exact too, and gated the same way.
+// (must stay well above 3).
 func BenchmarkFig7Frontier(b *testing.B) {
 	c, err := nets.Build(nets.PaperSpec("resnet50"))
 	if err != nil {
@@ -196,14 +194,13 @@ func BenchmarkFig7Frontier(b *testing.B) {
 	for m := 3 * platform.GB; m <= 16*platform.GB; m += platform.GB / 64 {
 		mems = append(mems, m)
 	}
-	reg := obs.NewRegistry()
 	var probes, saved, breaks int
 	for i := 0; i < b.N; i++ {
 		probes, saved, breaks = 0, 0, 0
 		for _, p := range []int{4, 8} {
 			for _, special := range []bool{false, true} {
 				plat := platform.Platform{Workers: p, Memory: 16 * platform.GB, Bandwidth: 12 * platform.GB}
-				opts := core.Options{Parallel: 1, DisableSpecial: special, Cache: core.NewPlannerCache(), Obs: reg}
+				opts := core.Options{Parallel: 1, DisableSpecial: special, Cache: core.NewPlannerCache()}
 				fr, err := core.PlanFrontier(cc, plat, mems, opts)
 				if err != nil {
 					b.Fatal(err)
@@ -217,7 +214,6 @@ func BenchmarkFig7Frontier(b *testing.B) {
 	b.ReportMetric(float64(probes), "probes/op")
 	b.ReportMetric(float64(probes-saved), "dpprobes/op")
 	b.ReportMetric(float64(breaks), "breakpoints/op")
-	b.ReportMetric(float64(reg.Counter("dp_mem_pins").Value()/uint64(b.N)), "pins/op")
 	if probes > saved {
 		b.ReportMetric(float64(probes)/float64(probes-saved), "probereduction-x")
 	}

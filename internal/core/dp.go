@@ -136,133 +136,6 @@ type dpRun struct {
 	// pointer check when disabled.
 	stats    *DPStats
 	statsBuf DPStats
-
-	// Memory-interval tracking (frontier mode; see frontier.go). While
-	// mtrack is set, every memory-dependent operation the run executes —
-	// normal-branch and special-branch memory checks, the m_P grid
-	// rounding of child states, the base-case check — narrows
-	// [pmlo, pmhi) to the widest memory range on which that operation
-	// provably reproduces its outcome, so the whole probe (traversal,
-	// value, reconstruction choices) replays move-for-move at any memory
-	// limit inside the final interval. The accumulator is probe-global
-	// rather than per-state, which is only sound while every operation
-	// contributing to the answer executes within this probe: the moment
-	// the run adopts a cross-probe certificate — a state settled by a
-	// death certificate recorded by an earlier probe, whose memory
-	// constraints this run never re-executed — childValue clears mtrack,
-	// and the run claims only the single limit it verified
-	// (mtrackInterval). No later pin could widen that claim, so none is
-	// made: solve, baseCase and reconstruct test mtrack before every pin.
-	// Certificates never change answers (TestCertReuseMatchesColdProbes),
-	// so adoption stays armed in frontier mode; wide intervals then come
-	// from runs that adopt no certificate (cold tables, first probes,
-	// roomy memory limits) and from the frontier store's monotone
-	// bracket merging (hint.go), which needs no tracked width at all.
-	mtrack     bool
-	pmlo, pmhi float64
-}
-
-// mPinLo raises the tracked interval's lower edge: the probe's outcome
-// is only claimed for memory limits >= lo. The run itself witnesses its
-// outcome at the current limit, so a safety margin that lands above it
-// (exact-threshold geometry: thr == mem, common on round-number memory
-// grids) clamps to the limit instead of excluding the one point the
-// probe actually verified.
-func (r *dpRun) mPinLo(lo float64) {
-	if lo > r.mem {
-		lo = r.mem
-	}
-	if lo > r.pmlo {
-		r.pmlo = lo
-	}
-}
-
-// mPinHi lowers the tracked interval's upper edge (half-open): the
-// probe's outcome is only claimed for memory limits < hi. Clamped so
-// the current limit always stays inside the interval, as in mPinLo.
-func (r *dpRun) mPinHi(hi float64) {
-	if m := math.Nextafter(r.mem, inf); hi < m {
-		hi = m
-	}
-	if hi < r.pmhi {
-		r.pmhi = hi
-	}
-}
-
-// mPinNorm records a normal-branch memory check stageMem(k,l,g) <= mem.
-// The stage memory is memory-limit-independent and the replayed
-// comparison at M' is direct, so the pin is exact: a pass holds for all
-// M' >= smemN, a failure for all M' < smemN. No epsilon is needed.
-func (r *dpRun) mPinNorm(smemN float64, pass bool) {
-	if st := r.stats; st != nil {
-		st.MemPins++
-	}
-	if pass {
-		r.mPinLo(smemN)
-	} else {
-		r.mPinHi(smemN)
-	}
-}
-
-// mPinSpecial records a special-branch (or base-case) memory check
-// imP*stepM + smem <= mem. Because stepM = M/(nM-1) scales with the
-// memory limit, the check at M' reads imP*M'/(nM-1) + smem <= M', which
-// in real arithmetic flips at Mthr = smem / (1 - imP/(nM-1)). The 1e-12
-// relative margins shrink the claimed range strictly inside the real
-// one, dominating by four orders of magnitude the few-ulp float noise
-// of the replayed evaluation. The grid-top index
-// (imP == nM-1) makes the threshold degenerate; the pin collapses to
-// the current limit alone.
-func (r *dpRun) mPinSpecial(imP int, smem float64, pass bool) {
-	if st := r.stats; st != nil {
-		st.MemPins++
-	}
-	q := float64(r.nM-1-imP) / float64(r.nM-1)
-	if q <= 0 {
-		// Grid-top index: mP' is the limit itself up to rounding
-		// (imP*stepM' with imP == nM-1), so for any smem above the
-		// rounding noise the check fails at every limit — the outcome is
-		// memory-independent and needs no pin (the claimed range is
-		// upper-capped at the verified limit by runDPWith, so the
-		// relative noise bound applies throughout it). A marginal smem —
-		// including a pass, only possible when smem is at rounding scale
-		// — pins to the current limit alone.
-		if smem > r.mem*1e-9 && !pass {
-			return
-		}
-		r.mPinLo(r.mem)
-		r.mPinHi(math.Nextafter(r.mem, inf))
-		return
-	}
-	thr := smem / q
-	if pass {
-		r.mPinLo(thr * (1 + 1e-12))
-	} else {
-		r.mPinHi(thr * (1 - 1e-12))
-	}
-}
-
-// mPinRound records the m_P grid rounding of a special-branch child,
-// imPN = roundUp(imP*stepM + smem, stepM, nM): in real arithmetic the
-// ceil argument is imP + x with x = smem*(nM-1)/M', so the index keeps
-// its recorded value c = imPN - imP while x stays on its plateau. x
-// grows as the memory limit shrinks, so "ceil stays <= c" is a lower
-// bound on M' and "ceil stays > c-1" an upper bound. A recorded index
-// at the grid top stays clamped there for every smaller limit, so only
-// the upper bound applies; c == 0 needs no upper bound (x >= 0 always
-// rounds to at least 0). Margins as in mPinSpecial.
-func (r *dpRun) mPinRound(imP, imPN int, smem float64) {
-	if st := r.stats; st != nil {
-		st.MemPins++
-	}
-	c := float64(imPN - imP)
-	scaled := smem * float64(r.nM-1)
-	if imPN < r.nM-1 {
-		r.mPinLo(scaled / (c + 1e-9) * (1 + 1e-12))
-	}
-	if c >= 1 {
-		r.mPinHi(scaled / (c - 1 + 1e-9) * (1 - 1e-12))
-	}
 }
 
 type dpEntry struct {
@@ -471,19 +344,13 @@ func grow(s []float64, n int) []float64 {
 }
 
 // baseCase is the p == 0 case of the recurrence: the remaining prefix
-// becomes a single stage on the special processor. imP is the m_P grid
-// index behind mP, consumed only by frontier-mode interval tracking.
-func (r *dpRun) baseCase(l, imP int, tP, mP, v float64) dpEntry {
+// becomes a single stage on the special processor.
+func (r *dpRun) baseCase(l int, tP, mP, v float64) dpEntry {
 	if r.disableSpecial {
 		return dpEntry{period: inf, k: -1}
 	}
 	g := r.groupsU(v, r.uTo[l])
-	smem := r.stageMem(1, l, g-1)
-	ok := mP+smem <= r.mem
-	if r.mtrack {
-		r.mPinSpecial(imP, smem, ok)
-	}
-	if !ok {
+	if !(mP+r.stageMem(1, l, g-1) <= r.mem) {
 		return dpEntry{period: inf, k: -1}
 	}
 	return dpEntry{period: r.uTo[l] + tP, k: -1, special: true}
@@ -505,7 +372,6 @@ func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, bool) {
 		if st := r.stats; st != nil {
 			st.StatesCertPruned++
 		}
-		r.mtrack = false
 		r.tab.putAdopted(idx, dpEntry{period: inf, k: -1})
 		return inf, true
 	}
@@ -538,7 +404,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 		v := float64(f.iV) * r.stepV
 
 		if p == 0 {
-			e := r.baseCase(l, int(f.imP), tP, mP, v)
+			e := r.baseCase(l, tP, mP, v)
 			idx := r.tab.idx(l, 0, int(f.itP), int(f.imP), int(f.iV))
 			r.tab.put(idx, e)
 			if e.period == inf {
@@ -597,22 +463,11 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 				iVN = int(e.ivn)
 				normOK = e.g <= gmax
 				smem = e.smem
-				if r.mtrack {
-					// The column threshold is exact: g <= gmax holds iff
-					// stageMem(k,l,g) <= mem (gmaxFor bisects the reference
-					// expression), so the pin value replays the comparison
-					// the columns encode at any memory limit.
-					r.mPinNorm(r.stageMem(k, l, int(e.g)), normOK)
-				}
 			} else {
 				cw, vNext := r.cutDelay(v, cv, u, cl)
 				g = groupCount(cw)
 				iVN = roundUp(vNext, r.stepV, r.nV)
-				smemN := r.stageMem(k, l, g)
-				normOK = smemN <= r.mem
-				if r.mtrack {
-					r.mPinNorm(smemN, normOK)
-				}
+				normOK = r.stageMem(k, l, g) <= r.mem
 				if !r.disableSpecial {
 					smem = r.stageMem(k, l, g-1)
 				}
@@ -625,11 +480,8 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 				// improves on a strict decrease, so cl >= best (u < best is
 				// the monotone check above) or a child floor at or above
 				// best decides the comparison without the lookup — or the
-				// child's whole subtree. Both skips replay under a memory
-				// pin: cl and the floor do not depend on memory, and the
-				// incumbent sequence is reproduced inductively. memOK is
-				// set first; the floor needs a finite incumbent, so it
-				// never hides a death.
+				// child's whole subtree. memOK is set first; the floor
+				// needs a finite incumbent, so it never hides a death.
 				f.memOK = true
 				switch {
 				case cl >= f.best.period:
@@ -660,12 +512,7 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			// under-estimated with g-1 copies (Section 4.2.1); the
 			// scheduling phase repairs the difference.
 			if !r.disableSpecial {
-				mNext := mP + smem
-				specOK := mNext <= r.mem
-				if r.mtrack {
-					r.mPinSpecial(int(f.imP), smem, specOK)
-				}
-				if specOK {
+				if mNext := mP + smem; mNext <= r.mem {
 					f.memOK = true
 					itPN := roundUp(tP+u, r.stepT, r.nT)
 					tNext := float64(itPN) * r.stepT
@@ -685,9 +532,6 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 						continue
 					}
 					imPN := roundUp(mNext, r.stepM, r.nM)
-					if r.mtrack {
-						r.mPinRound(int(f.imP), imPN, smem)
-					}
 					sub, ok := r.childValue(k-1, p, itPN, imPN, iVN)
 					if !ok {
 						f.k = int32(k)
@@ -743,10 +587,6 @@ type DPResult struct {
 	// only the table economics (TableVirtualBytes, TableResidentBytes,
 	// TableBlocksResident) are set.
 	Stats DPStats
-	// MLo/MHi bound the half-open memory-limit interval [MLo, MHi) on
-	// which this probe provably replays bit-identically (frontier mode
-	// only; both zero otherwise).
-	MLo, MHi float64
 }
 
 // dpConfig bundles the per-invocation knobs of the DP driver.
@@ -757,11 +597,6 @@ type dpConfig struct {
 	// obs enables stats collection and receives the run's cumulative
 	// counters; nil disables all instrumentation.
 	obs *obs.Registry
-	// mtrack enables memory-interval tracking for the frontier solver
-	// (frontier.go): the run accumulates the widest [MLo, MHi) on which
-	// its answer replays; a run that adopts a cross-probe certificate
-	// collapses the claim to its own limit (see dpRun.mtrack).
-	mtrack bool
 }
 
 // runDP executes MadPipe-DP for a fixed target period T̂ and reconstructs
@@ -819,10 +654,6 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 	if cfg.obs != nil {
 		r.stats = &r.statsBuf
 	}
-	if cfg.mtrack {
-		r.mtrack = true
-		r.pmlo, r.pmhi = 0, inf
-	}
 	r.init()
 	tab.reset(c.Len()+1, normals+1, nT, nM, disc.V)
 	tab.cols.reset(c.Len(), disc.V, (float64(disc.V-1)*r.stepV+totalU)/that, gmaxKey{
@@ -849,9 +680,6 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 		st.flush(cfg.obs)
 	}
 	if period == inf {
-		if cfg.mtrack {
-			res.MLo, res.MHi = r.mtrackInterval()
-		}
 		return res, nil
 	}
 	alloc, err := r.reconstruct(normals)
@@ -859,31 +687,7 @@ func runDPWith(tab *dpTable, c *chain.Chain, plat platform.Platform, that float6
 		return nil, err
 	}
 	res.Alloc = alloc
-	if cfg.mtrack {
-		// Reconstruction replays grid roundings and may pin further; read
-		// the accumulator only after it completes.
-		res.MLo, res.MHi = r.mtrackInterval()
-	}
 	return res, nil
-}
-
-// mtrackInterval is the memory interval a tracked run may claim: the
-// accumulated [pmlo, pmhi) when every contributing operation ran within
-// this probe, or the bare verified limit when any state was adopted
-// from a cross-probe certificate, which cleared mtrack (see
-// dpRun.mtrack). The upper edge is clamped to just above the verified
-// limit either way: the raw edge can genuinely extend higher, but the
-// frontier only walks downward, and capping keeps every relative noise
-// bound in the pin derivations valid over the whole claimed range.
-func (r *dpRun) mtrackInterval() (float64, float64) {
-	if !r.mtrack {
-		return r.mem, math.Nextafter(r.mem, inf)
-	}
-	hi := math.Nextafter(r.mem, inf)
-	if r.pmhi < hi {
-		hi = r.pmhi
-	}
-	return r.pmlo, hi
 }
 
 // reconstruct replays the tabulated decisions from the root state and
@@ -925,12 +729,7 @@ func (r *dpRun) reconstruct(normals int) (*partition.Allocation, error) {
 		stages = append(stages, rev{span: chain.Span{From: k, To: l}, special: e.special})
 		if e.special {
 			itP = roundUp(tP+u, r.stepT, r.nT)
-			smem := r.stageMem(k, l, g-1)
-			prevImP := imP
-			imP = roundUp(mP+smem, r.stepM, r.nM)
-			if r.mtrack {
-				r.mPinRound(prevImP, imP, smem)
-			}
+			imP = roundUp(mP+r.stageMem(k, l, g-1), r.stepM, r.nM)
 		} else {
 			p--
 		}

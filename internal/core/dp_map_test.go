@@ -67,7 +67,7 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 	v := float64(iV) * r.stepV
 
 	if p == 0 {
-		return r.baseCase(l, imP, tP, mP, v)
+		return r.baseCase(l, tP, mP, v)
 	}
 
 	best := dpEntry{period: inf, k: -1}

@@ -19,27 +19,24 @@ import (
 // of one full bisection per point.
 //
 // The mechanism is Megiddo-style parametric search over the memory
-// axis, built from four exact facts:
+// axis, built from three exact facts:
 //
 //   - Algorithm 1's probe trajectory is memory-independent: the initial
 //     bracket [TotalU/P, TotalU + TotalComm] does not involve M, and
 //     the fold consumes only each probe's feasibility and period — so
 //     if every probe answers identically at M', the whole search
 //     replays move for move.
-//   - A DP probe run with memory-interval tracking (dpRun.mtrack)
-//     certifies the half-open interval [MLo, MHi) of memory limits on
-//     which its answer — traversal, value and reconstruction — replays
-//     bit-identically. Feasible probes are recorded in the hint's
-//     frontier store with that interval (Hint.frontierRecord).
 //   - At a fixed probe target, a probe's answer is a monotone function
 //     of the memory limit: decision values are memory-independent and
 //     feasibility only tightens as M shrinks (the floors' domination
 //     argument). Two runs bracketing a memory range with the same
-//     period and allocation therefore certify the whole range, and
-//     their records merge into one wide bracket (see frontierRec).
-//   - Infeasible probes are covered by PR 5's floors, exact for every
-//     M' <= the recorded limit, and a fully infeasible search kills
-//     every smaller limit outright (Hint.recordDead).
+//     period and allocation therefore certify the whole range. Each
+//     feasible DP probe is recorded in the hint's frontier store at the
+//     one limit it ran at, and records of equal outcomes merge into one
+//     wide bracket (Hint.frontierRecord, frontierRec).
+//   - Infeasible probes are covered by the hint's floors, exact for
+//     every M' <= the recorded limit, and a fully infeasible search
+//     kills every smaller limit outright (Hint.recordDead).
 //
 // PlanFrontier solves the two ends of the sampled range first, then
 // visits the remaining samples in recursive bisection order, so every
@@ -54,11 +51,12 @@ type FrontierSegment struct {
 	// (bytes) that produced this outcome.
 	MemHi, MemLo float64
 	// CertLo is the certificate floor: the outcome provably extends as
-	// a constant over [CertLo, MemHi], which may reach below MemLo
-	// (probe certificates outrun the sampling grid) or sit above it
-	// (equal outcomes whose certificate intervals left a gap; the
-	// samples below CertLo are exact point checks). Infeasible segments
-	// are certified to 0: a dead search kills every smaller limit.
+	// a constant over [CertLo, MemHi], which may reach below MemLo (a
+	// sample whose probes were all answered by records or floors that
+	// reach lower) or sit above it (equal outcomes whose search
+	// intervals left a gap; the samples below CertLo are exact point
+	// checks). Infeasible segments are certified to 0: a dead search
+	// kills every smaller limit.
 	CertLo float64
 	// Feasible is false for the infeasible tail (Result == nil).
 	Feasible bool
@@ -309,19 +307,17 @@ type frontierSample struct {
 	replays int
 }
 
-// searchInterval returns a sample search's certified memory interval,
-// clamped so it never claims coverage above the sample itself (the
-// tracked upper edge is real but unexploited: the walk only descends).
-// A degenerate interval that misses its own sample — possible in
-// principle through the tracking margins — collapses to the sample
-// point, which the search did verify.
+// searchInterval returns the memory interval on which a feasible
+// sample's search provably replays. A frontier-mode search's interval
+// (ResultHint.MemLo/MemHi) contains its own sample: every folded probe's
+// does — a DP run's record holds the limit it ran at, a store hit's
+// record contains it by lookup, a floor covers every limit up to its
+// own. A result served from a plan-memo entry that an ordinary search
+// wrote carries no interval, so such a sample certifies only itself.
 func searchInterval(s frontierSample) (lo, hi float64) {
 	lo, hi = s.res.Hint.MemLo, s.res.Hint.MemHi
 	if !(lo <= s.mem && s.mem < hi) {
-		return s.mem, math.Nextafter(s.mem, math.MaxFloat64)
-	}
-	if hi > math.Nextafter(s.mem, math.MaxFloat64) {
-		hi = math.Nextafter(s.mem, math.MaxFloat64)
+		return s.mem, math.Nextafter(s.mem, inf)
 	}
 	return lo, hi
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -234,74 +235,85 @@ func TestBracketCandidatesDegenerate(t *testing.T) {
 	}
 }
 
-// TestFrontierProbeClaimsReplay checks each frontier-mode probe's own
-// memory claim on one certificate-armed table, probe by probe: a probe
-// that adopted a cross-probe certificate claims exactly the limit it ran
-// at, and every other probe replays at the bottom of its claim — a
-// cold, certificate-free DP at MLo returns the same period, spans and
-// processors. The targets revisit the search range in both directions,
-// so later probes adopt death certificates of earlier ones.
-func TestFrontierProbeClaimsReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	disc := Discretization{TP: 9, MP: 5, V: 9}
-	var adopted, replayed int
-	for trial := 0; trial < 12; trial++ {
-		c := chain.Random(rng, 4+rng.Intn(8), chain.DefaultRandomOptions())
-		pl := plat(3+rng.Intn(3), 2e9+rng.Float64()*6e9, 12e9)
-		lo, hi := c.TotalU()/float64(pl.Workers), c.TotalU()+c.TotalCommTimeAlphaBeta(pl.Latency, pl.Bandwidth)
-		for _, contig := range []bool{false, true} {
-			tab := new(dpTable)
-			tab.certArm(pl.Memory)
-			cfg := dpConfig{disc: disc, disableSpecial: contig, obs: obs.NewRegistry(), mtrack: true}
-			for i := 0; i < 10; i++ {
-				that := lo + (hi-lo)*rng.Float64()
-				res, err := runDPWith(tab, c, pl, that, cfg)
+// TestFrontierCertLoMatchesCold checks the claim a frontier segment
+// makes beyond its samples: its outcome holds at every limit in
+// [CertLo, MemHi]. For every feasible segment of a few random-chain
+// frontiers, a cold search at CertLo and at the midpoint of each pair of
+// neighbouring samples inside that range — limits the walk never planned
+// at — must return the segment's predicted and target periods, spans and
+// processors. Each frontier also runs once on a cache where ordinary
+// plans at the top and a middle rung left plan-memo entries: the samples
+// served from them carry no search interval and must certify only
+// themselves.
+func TestFrontierCertLoMatchesCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	disc := Discretization{TP: 21, MP: 5, V: 15}
+	var checked, mids, below int
+	check := func(what string, c *chain.Chain, pl platform.Platform, opts Options, fr *FrontierResult) {
+		t.Helper()
+		for _, seg := range fr.Segments {
+			if !seg.Feasible {
+				continue
+			}
+			mems := []float64{seg.CertLo}
+			if seg.CertLo < seg.MemLo {
+				below++
+			}
+			for i := 1; i < len(fr.Samples); i++ {
+				hi, lo := fr.Samples[i-1], fr.Samples[i]
+				if lo >= seg.CertLo && hi <= seg.MemHi {
+					mems = append(mems, (hi+lo)/2)
+					mids++
+				}
+			}
+			for _, mem := range mems {
+				checked++
+				pl.Memory = mem
+				cold, err := PlanAllocation(c, pl, opts)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s M=%g in [CertLo %g, MemHi %g]: cold plan: %v",
+						what, mem, seg.CertLo, seg.MemHi, err)
 				}
-				if res.Stats.StatesCertPruned > 0 {
-					adopted++
-					if res.MLo != pl.Memory || res.MHi != math.Nextafter(pl.Memory, inf) {
-						t.Fatalf("trial %d contiguous=%v T̂=%g: adopting probe claims [%g, %g), want [%g, nextafter)",
-							trial, contig, that, res.MLo, res.MHi, pl.Memory)
-					}
-					continue
-				}
-				if res.MLo > pl.Memory || res.MHi <= pl.Memory {
-					t.Fatalf("trial %d T̂=%g: claim [%g, %g) excludes the run's limit %g", trial, that, res.MLo, res.MHi, pl.Memory)
-				}
-				if res.MLo == pl.Memory {
-					continue
-				}
-				replayed++
-				// runDPWith, not DP: a probe whose every memory check failed
-				// claims down to 0 bytes, a limit DP's platform check refuses.
-				at := pl
-				at.Memory = res.MLo
-				cold, err := runDPWith(new(dpTable), c, at, that, dpConfig{disc: disc, disableSpecial: contig})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cold.Period != res.Period || (cold.Alloc == nil) != (res.Alloc == nil) {
-					t.Fatalf("trial %d contiguous=%v T̂=%g: probe at %g returned %g, cold DP at MLo=%g returned %g",
-						trial, contig, that, pl.Memory, res.Period, res.MLo, cold.Period)
-				}
-				if res.Alloc == nil {
-					continue
-				}
-				if len(cold.Alloc.Spans) != len(res.Alloc.Spans) {
-					t.Fatalf("trial %d T̂=%g: %d stages at MLo, %d at the probe's limit", trial, that, len(cold.Alloc.Spans), len(res.Alloc.Spans))
-				}
-				for j := range res.Alloc.Spans {
-					if cold.Alloc.Spans[j] != res.Alloc.Spans[j] || cold.Alloc.Procs[j] != res.Alloc.Procs[j] {
-						t.Fatalf("trial %d T̂=%g: stage %d differs at MLo=%g", trial, that, j, res.MLo)
-					}
+				if cold.PredictedPeriod != seg.Predicted || cold.TargetPeriod != seg.Target ||
+					!allocSame(cold.Alloc, seg.Result.Alloc) {
+					t.Fatalf("%s M=%g in [CertLo %g, MemHi %g]: cold (%g, %g, %v %v) != segment (%g, %g, %v %v)",
+						what, mem, seg.CertLo, seg.MemHi,
+						cold.PredictedPeriod, cold.TargetPeriod, cold.Alloc.Spans, cold.Alloc.Procs,
+						seg.Predicted, seg.Target, seg.Result.Alloc.Spans, seg.Result.Alloc.Procs)
 				}
 			}
 		}
 	}
-	if adopted == 0 || replayed == 0 {
-		t.Fatalf("test setup: %d adopting probes, %d replayed claims; need both", adopted, replayed)
+	for trial := 0; trial < 4; trial++ {
+		c := chain.Random(rng, 5+rng.Intn(8), chain.DefaultRandomOptions())
+		for _, special := range []bool{false, true} {
+			for _, pw := range []int{2, 4, 6, 8} {
+				for _, memo := range []bool{false, true} {
+					what := fmt.Sprintf("trial %d special=%v P=%d memo=%v", trial, special, pw, memo)
+					opts := Options{Parallel: 1, DisableSpecial: special, Disc: disc}
+					fopts := opts
+					if memo {
+						fopts.Cache = NewPlannerCache()
+						for _, mem := range []float64{hintMemsDesc[0], hintMemsDesc[len(hintMemsDesc)/2]} {
+							if _, err := PlanAllocation(c, plat(pw, mem, 12e9), fopts); err != nil && !errors.Is(err, platform.ErrInfeasible) {
+								t.Fatalf("%s M=%g: plan: %v", what, mem, err)
+							}
+						}
+					}
+					fr, err := PlanFrontier(c, plat(pw, 1, 12e9), hintMemsDesc, fopts)
+					if err != nil {
+						t.Fatalf("%s: PlanFrontier: %v", what, err)
+					}
+					if memo {
+						fopts.Cache.Release(nil)
+					}
+					check(what, c, plat(pw, 1, 12e9), opts, fr)
+				}
+			}
+		}
 	}
-	t.Logf("%d adopting probes, %d claims replayed at MLo", adopted, replayed)
+	if mids == 0 {
+		t.Fatal("no segment certified a limit between two samples")
+	}
+	t.Logf("%d certified limits planned cold, %d of them between samples; %d segments certified below their lowest sample", checked, mids, below)
 }

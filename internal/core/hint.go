@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"madpipe/internal/chain"
 	"madpipe/internal/partition"
@@ -61,16 +62,12 @@ type Hint struct {
 	// (DisableSpecial) mode: one Hint serves both searches of a sweep
 	// cell, including the contiguous re-plan inside PlanAndSchedule.
 	floors [2]floorStore
-	// frontier arms the feasible-probe store (armFrontier): searches run
-	// their DP probes with memory-interval tracking (sound per run even
-	// under certificate adoption — an adopting run collapses its claim
-	// to the limit it verified, see dpRun.mtrack), and feasible probe
-	// results are recorded with the half-open memory interval on which
-	// they provably replay, widened by monotone bracket merging.
-	// Infeasible probes keep using the floors above (their coverage —
-	// every M' <= the recorded limit — is strictly wider). Disarmed
-	// hints never consult or grow the store, so non-frontier callers pay
-	// nothing.
+	// frontier arms the feasible-probe store (armFrontier): feasible DP
+	// probe results are recorded at the limit they ran at and widened
+	// only by merging equal outcomes (frontierRec). Infeasible probes
+	// keep using the floors above (their coverage — every M' <= the
+	// recorded limit — is strictly wider). Disarmed hints never consult
+	// or grow the store, so non-frontier callers pay nothing.
 	frontier bool
 	// probes[mode] maps an exact probe target T̂ to the feasible results
 	// recorded at that target, each valid on its own memory interval.
@@ -81,8 +78,8 @@ type Hint struct {
 
 // frontierRec is one feasible DP probe outcome pinned to the half-open
 // memory interval [mlo, mhi) on which the probe provably returns the
-// same answer. The interval is seeded by a DP run's tracked replay
-// interval (see dpRun.mtrack) and widened by monotone bracket merging
+// same answer. A DP run claims only the limit M it ran at,
+// [M, nextafter(M)); the interval widens only by merging equal outcomes
 // (see frontierRecord): at a fixed probe target T̂ a decision
 // sequence's value is memory-independent — memory only gates
 // feasibility — and its feasibility is monotone in the limit (the
@@ -203,11 +200,8 @@ func (h *Hint) recordDead(disableSpecial bool, mem float64) {
 }
 
 // armFrontier switches the hint into frontier mode (nil-safe): searches
-// bound to it run interval-tracked DP probes and reuse feasible probe
-// results across memory limits. Arming is
-// one-way for the hint's lifetime — mixing tracked and untracked
-// searches on one store would record intervals the untracked probes
-// never validated.
+// bound to it record feasible DP probe results and reuse them across
+// memory limits. Arming is one-way for the hint's lifetime.
 func (h *Hint) armFrontier() {
 	if h != nil {
 		h.frontier = true
@@ -220,39 +214,37 @@ func (h *Hint) frontierArmed() bool {
 }
 
 // frontierCovered looks up a feasible probe result at exactly target
-// that whose recorded memory interval contains mem. The returned result
-// re-targets the recorded allocation at the caller's platform (same
-// workers/bandwidth/latency by the bind contract; only Memory moves),
-// sharing the immutable span and processor slices.
-func (h *Hint) frontierCovered(disableSpecial bool, that, mem float64, plat platform.Platform) (*DPResult, bool) {
+// that whose recorded memory interval contains mem, and returns it with
+// that interval. The returned result re-targets the recorded allocation
+// at the caller's platform (same workers/bandwidth/latency by the bind
+// contract; only Memory moves), sharing the immutable span and
+// processor slices.
+func (h *Hint) frontierCovered(disableSpecial bool, that, mem float64, plat platform.Platform) (dp *DPResult, lo, hi float64, ok bool) {
 	if !h.frontierArmed() {
-		return nil, false
+		return nil, 0, 0, false
 	}
 	for _, rec := range h.probes[modeIdx(disableSpecial)][that] {
 		if rec.mlo <= mem && mem < rec.mhi {
 			a := *rec.alloc
 			a.Plat = plat
-			return &DPResult{Period: rec.period, Alloc: &a, MLo: rec.mlo, MHi: rec.mhi}, true
+			return &DPResult{Period: rec.period, Alloc: &a}, rec.mlo, rec.mhi, true
 		}
 	}
-	return nil, false
+	return nil, 0, 0, false
 }
 
-// frontierRecord stores a feasible DP probe outcome with its tracked
-// memory-validity interval (no-op unless armed, the probe is feasible,
-// and tracking produced a non-degenerate interval). A new observation
-// whose period and allocation match an existing record at the same
-// target merges into it, widening the record to the hull of both
-// intervals: the gap between the two observed limits is certified by
-// monotonicity (see frontierRec), and each tracked interval certifies
-// its own overhang beyond its observation. This is what makes a
+// frontierRecord stores a feasible DP probe outcome observed at memory
+// limit mem on an armed hint, claiming [mem, nextafter(mem)), and
+// returns the interval of the record that now holds it. A new
+// observation whose period and allocation match an existing record at
+// the same target merges into it, widening the record to the hull of
+// both: the gap between the observed limits is certified by
+// monotonicity (see frontierRec). This is what makes a
 // bisection-ordered frontier walk cheap — once the two ends of a
 // plateau are solved, every probe of every sample between them is
 // answered by the merged record.
-func (h *Hint) frontierRecord(disableSpecial bool, that float64, dp *DPResult) {
-	if !h.frontierArmed() || dp.Alloc == nil || !(dp.MLo < dp.MHi) {
-		return
-	}
+func (h *Hint) frontierRecord(disableSpecial bool, that, mem float64, dp *DPResult) (lo, hi float64) {
+	hi = math.Nextafter(mem, inf)
 	m := modeIdx(disableSpecial)
 	if h.probes[m] == nil {
 		h.probes[m] = make(map[float64][]frontierRec)
@@ -261,18 +253,15 @@ func (h *Hint) frontierRecord(disableSpecial bool, that float64, dp *DPResult) {
 	for i := range recs {
 		rec := &recs[i]
 		if rec.period == dp.Period && allocSame(rec.alloc, dp.Alloc) {
-			if dp.MLo < rec.mlo {
-				rec.mlo = dp.MLo
-			}
-			if dp.MHi > rec.mhi {
-				rec.mhi = dp.MHi
-			}
-			return
+			rec.mlo = min(rec.mlo, mem)
+			rec.mhi = max(rec.mhi, hi)
+			return rec.mlo, rec.mhi
 		}
 	}
 	h.probes[m][that] = append(recs, frontierRec{
-		mlo: dp.MLo, mhi: dp.MHi, period: dp.Period, alloc: dp.Alloc,
+		mlo: mem, mhi: hi, period: dp.Period, alloc: dp.Alloc,
 	})
+	return mem, hi
 }
 
 // allocSame reports whether two allocations make the same decisions:
@@ -318,8 +307,9 @@ type ResultHint struct {
 	FrontierSaved int
 	// MemLo/MemHi bound the half-open memory interval [MemLo, MemHi) on
 	// which the whole search provably replays: the intersection of every
-	// folded probe's validity interval (tracked for DP runs, recorded for
-	// store hits, (0, M] for floor hits). Populated only by frontier-mode
-	// searches; both zero otherwise.
+	// folded probe's validity interval (the store record a feasible probe
+	// landed in or was answered from, every limit up to the floor for an
+	// infeasible one). Populated only by frontier-mode searches; both
+	// zero otherwise.
 	MemLo, MemHi float64
 }

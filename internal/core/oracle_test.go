@@ -45,7 +45,7 @@ func (r *exhaustiveRun) eval(l, p, itP, imP, iV int) dpEntry {
 	mP := float64(imP) * r.stepM
 	v := float64(iV) * r.stepV
 	if p == 0 {
-		return r.baseCase(l, imP, tP, mP, v)
+		return r.baseCase(l, tP, mP, v)
 	}
 	best := dpEntry{period: inf, k: -1}
 	for k := l; k >= 1; k-- {

@@ -468,14 +468,7 @@ func newSearch(c *chain.Chain, plat platform.Platform, opts Options) *search {
 		// front (bounded, for absurd budgets) spares the append growth.
 		res: &PhaseOneResult{PredictedPeriod: math.Inf(1), Evals: make([]Eval, 0, min(max(opts.Iterations, 0), MaxIterations))},
 	}
-	// Certificate adoption stays armed in frontier mode too — adoption
-	// never changes answers (TestCertReuseMatchesColdProbes), and
-	// disabling it would make every frontier probe pay the full DP.
-	// Soundness of the tracked memory intervals is preserved per run
-	// instead: a probe that adopted any certificate collapses its claim
-	// to the limit it verified (dpRun.mtrack), and the frontier store's
-	// bracket merging re-widens coverage from outcome monotonicity alone.
-	s.cfg = dpConfig{disc: opts.Disc, disableSpecial: opts.DisableSpecial, weights: opts.Weights, obs: opts.Obs, mtrack: s.frontier}
+	s.cfg = dpConfig{disc: opts.Disc, disableSpecial: opts.DisableSpecial, weights: opts.Weights, obs: opts.Obs}
 	s.slots[0].tab, s.tkey = leaseTableFor(c, plat, opts)
 	for i := 1; i < s.fan; i++ {
 		s.slots[i].tab = acquireTable()
@@ -566,10 +559,10 @@ func (s *search) answer(that float64) *DPResult {
 		}
 		return &DPResult{Period: math.Inf(1)}
 	}
-	if dp, ok := h.frontierCovered(mode, that, mem, s.plat); ok {
+	if dp, lo, hi, ok := h.frontierCovered(mode, that, mem, s.plat); ok {
 		s.res.Hint.ProbesSaved++
 		s.res.Hint.FrontierSaved++
-		s.pin(dp.MLo, dp.MHi)
+		s.pin(lo, hi)
 		return dp
 	}
 	return nil
@@ -615,8 +608,9 @@ func (s *search) fold(slot int, sl *probeSlot) {
 				s.pin(0, math.Nextafter(s.plat.Memory, inf))
 			}
 		} else if s.frontier {
-			s.opts.Hint.frontierRecord(s.opts.DisableSpecial, that, dp)
-			s.pin(dp.MLo, dp.MHi)
+			// The run is certified on the store record it lands in: its
+			// own limit, widened by any equal outcome merged there.
+			s.pin(s.opts.Hint.frontierRecord(s.opts.DisableSpecial, that, s.plat.Memory, dp))
 		}
 	}
 	ev := Eval{

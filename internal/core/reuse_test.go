@@ -405,8 +405,9 @@ func assertProbeMatchesCold(t *testing.T, label string, c *chain.Chain, pl platf
 // cover, whose cut scalars are computed inline: every probe still
 // equals a cold DP at its target, tight memory records and adopts death
 // certificates, and a frontier over a memory ladder still equals cold
-// per-cell planning — with the store answering a sample inside the
-// first search's memory interval.
+// per-cell planning — with the store answering 1999.999 GB from the
+// record that 2000 and 1999.998 GB merged, while the ladder reaches down
+// to 300 GB, whose outcome differs.
 func TestDeathCertsPastColMaxL(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := chain.Random(rng, colMaxL+9, chain.DefaultRandomOptions())
@@ -431,7 +432,7 @@ func TestDeathCertsPastColMaxL(t *testing.T) {
 		}
 	}
 
-	mems := []float64{2000e9, 1999.999e9, 300e9}
+	mems := []float64{2000e9, 1999.999e9, 1999.998e9, 1000e9, 300e9}
 	cache := NewPlannerCache()
 	defer cache.Release(nil)
 	opts := Options{Disc: disc, Iterations: 3, Parallel: 1, Cache: cache}

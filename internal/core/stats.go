@@ -64,13 +64,10 @@ type DPStats struct {
 	// directory opens and lazy per-delay entry fills.
 	ColumnsOpened    uint64 `json:"columns_opened"`
 	ColumnEntryFills uint64 `json:"column_entry_fills"`
-	// MemPins counts the memory-interval pins a frontier-mode run made
-	// (mPinNorm, mPinSpecial and mPinRound calls; see dpRun.mtrack).
-	// Zero outside frontier mode, and omitted from JSON there.
-	MemPins uint64 `json:"mem_pins,omitempty"`
 	// TableVirtualBytes is the packed index space of this run's shape in
 	// state bytes. TableBlocksResident counts the table blocks this run
-	// wrote (table.go) and TableResidentBytes is their size, 64 KB each:
+	// wrote (table.go) and TableResidentBytes is their size, blockSize
+	// states of stateBytes each:
 	// the run's own footprint, not the blocks earlier leases left
 	// resident in a pooled table, so both are a function of the run
 	// alone. Resident figures fold as high-water marks under add().
@@ -93,7 +90,6 @@ func (s *DPStats) add(o *DPStats) {
 	s.GmaxComputed += o.GmaxComputed
 	s.ColumnsOpened += o.ColumnsOpened
 	s.ColumnEntryFills += o.ColumnEntryFills
-	s.MemPins += o.MemPins
 	if o.TableVirtualBytes > s.TableVirtualBytes {
 		s.TableVirtualBytes = o.TableVirtualBytes
 	}
@@ -124,7 +120,6 @@ func (s *DPStats) flush(reg *obs.Registry) {
 	reg.Counter("dp_gmax_computed").Add(s.GmaxComputed)
 	reg.Counter("dp_columns_opened").Add(s.ColumnsOpened)
 	reg.Counter("dp_column_entry_fills").Add(s.ColumnEntryFills)
-	reg.Counter("dp_mem_pins").Add(s.MemPins)
 	reg.Gauge("dp_states_max").Observe(s.StatesEvaluated)
 	reg.Gauge("dp_table_virtual_bytes").Observe(s.TableVirtualBytes)
 	reg.Gauge("dp_table_resident_bytes").Observe(s.TableResidentBytes)

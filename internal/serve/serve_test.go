@@ -167,6 +167,62 @@ func TestServeFrontierBitIdentical(t *testing.T) {
 	}
 }
 
+// TestServeFrontierAfterPlanMemo: a /v1/plan at the ladder's top rung
+// leaves a memo entry on the worker's cache that the following
+// /v1/frontier's top sample is served from. That entry carries no
+// search interval, so the segment it opens must still be certified
+// above zero, hold cold at its cert_lo, and keep the plateaus of a
+// frontier planned without the memo.
+func TestServeFrontierAfterPlanMemo(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1})
+	c := testChain(12, 5)
+	mems := []float64{1.4e10, 1e10, 8e9, 6e9}
+	resp, body := postJSON(t, hs.URL+"/v1/plan", PlanRequest{Chain: c,
+		Platform: PlatformSpec{Workers: 4, Memory: mems[0], Bandwidth: 1.2e10}, Options: OptionsSpec{Parallel: 1}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plan status %d: %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, hs.URL+"/v1/frontier", FrontierRequest{Chain: c,
+		Platform: PlatformSpec{Workers: 4, Bandwidth: 1.2e10}, Options: OptionsSpec{Parallel: 1}, Mems: mems})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("frontier status %d: %s", resp.StatusCode, body)
+	}
+	var got core.FrontierReport
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.PlanFrontier(c, testPlat(), mems, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Segments) != len(want.Segments) {
+		t.Fatalf("%d segments after the plan memo, %d without", len(got.Segments), len(want.Segments))
+	}
+	for i, seg := range got.Segments {
+		w := want.Segments[i]
+		if seg.MemHi != w.MemHi || seg.MemLo != w.MemLo || seg.Feasible != w.Feasible ||
+			seg.Predicted != w.Predicted || seg.Target != w.Target {
+			t.Fatalf("segment %d: %+v after the plan memo, want range and periods of %+v", i, seg, w)
+		}
+		if !seg.Feasible {
+			continue
+		}
+		if !(seg.CertLo > 0) {
+			t.Fatalf("segment %d [%g, %g]: cert_lo %g", i, seg.MemLo, seg.MemHi, seg.CertLo)
+		}
+		pl := testPlat()
+		pl.Memory = seg.CertLo
+		cold, err := core.PlanAllocation(c, pl, testOpts())
+		if err != nil {
+			t.Fatalf("segment %d: cold plan at cert_lo %g: %v", i, seg.CertLo, err)
+		}
+		if cold.PredictedPeriod != seg.Predicted || cold.TargetPeriod != seg.Target {
+			t.Fatalf("segment %d: cold plan at cert_lo %g reads (%g, %g), segment (%g, %g)",
+				i, seg.CertLo, cold.PredictedPeriod, cold.TargetPeriod, seg.Predicted, seg.Target)
+		}
+	}
+}
+
 // TestServeInfeasibleMemoized: deterministic infeasibility (memory too
 // small for any allocation) is 422 and served from the memo on repeat —
 // it is as much a function of the request as a feasible plan.

@@ -70,9 +70,9 @@ type Config struct {
 	// (off: every request defaults to Parallel).
 	LargeParallel int
 	// LargeChainLayers is the resolved-chain length at which
-	// LargeParallel kicks in (default 1025, the first length past the
-	// column cache's colMaxL cliff — exactly where sequential probes
-	// stop being cheap).
+	// LargeParallel kicks in (default 1025, the first chain length the
+	// DP's column cache does not cover, whose probes compute their cut
+	// scalars inline).
 	LargeChainLayers int
 	// Registry receives the serving metrics (plan_memo_*, serve_*). May
 	// be nil. It is never handed to the planner: planner observability
