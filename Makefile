@@ -19,10 +19,11 @@ test:
 # over the concurrent probe/sweep/frontier paths, shuffled
 # expt tests, a one-shot benchmark sanity run, and exact regression
 # checks against the committed BENCH_*.json snapshots (allocs, sweep
-# probes/op, frontier probes/op + dpprobes/op, transformer and raw
-# long-chain states/op, raw probe cuts/op; an exact gate fails a move in
-# either direction; ns/op deltas print for review only — shared-machine
-# timing noise swings by integer factors).
+# probes/op, frontier probes/op + dpprobes/op + certgb/op, transformer
+# and raw long-chain states/op, raw probe cuts/op + bounded/op +
+# reopened/op; an exact gate fails a move in either direction; ns/op
+# deltas print for review only — shared-machine timing noise swings by
+# integer factors).
 verify:
 	scripts/verify.sh
 
@@ -33,9 +34,9 @@ race:
 # bench runs the regression suite, writes BENCH_<date>.json and fails on
 # ns/op or allocs/op regressions against each bench's newest recorded
 # baseline. The pattern covers every bench verify.sh gates, so a new
-# snapshot re-pins all of them at once. GPTRawParallel adds ~10 s per
-# iteration — the raw 2050-layer probe round dominates the run — and
-# GPTRawProbe (one raw 1026-layer probe) a couple of seconds.
+# snapshot re-pins all of them at once. GPTRawParallel adds a few
+# seconds per iteration — the raw 2050-layer probe round dominates the
+# run — and GPTRawProbe (one raw 1026-layer probe) well under a second.
 bench:
 	$(GO) run ./cmd/benchdiff -bench 'BenchmarkFig6ResNet50|BenchmarkFig7AllNetworks|BenchmarkFig7Sweep|BenchmarkFig7Frontier|BenchmarkFig8Speedup|BenchmarkMadPipeDP|BenchmarkAlgorithm1|BenchmarkListScheduler|BenchmarkServeLoad|BenchmarkServeMemo|BenchmarkServeObsOverhead|BenchmarkGPTCoarsen|BenchmarkGPTRawParallel|BenchmarkGPTRawProbe' -benchtime 3x
 

@@ -180,7 +180,9 @@ func BenchmarkFig7SweepParallel4(b *testing.B) { fig7Sweep(b, 4) }
 // floors). Both are exact functions of the input, so benchdiff gates on
 // them at a zero threshold; probereduction-x — the per-cell baseline
 // cost over the frontier's — is their ratio and the tentpole's headline
-// (must stay well above 3).
+// (must stay well above 3). certgb/op is what the frontier certifies:
+// the sum over feasible segments of MemHi − CertLo, in GB, exact too,
+// so a silent loss of cert_lo moves it.
 func BenchmarkFig7Frontier(b *testing.B) {
 	c, err := nets.Build(nets.PaperSpec("resnet50"))
 	if err != nil {
@@ -195,8 +197,9 @@ func BenchmarkFig7Frontier(b *testing.B) {
 		mems = append(mems, m)
 	}
 	var probes, saved, breaks int
+	var certGB float64
 	for i := 0; i < b.N; i++ {
-		probes, saved, breaks = 0, 0, 0
+		probes, saved, breaks, certGB = 0, 0, 0, 0
 		for _, p := range []int{4, 8} {
 			for _, special := range []bool{false, true} {
 				plat := platform.Platform{Workers: p, Memory: 16 * platform.GB, Bandwidth: 12 * platform.GB}
@@ -208,12 +211,18 @@ func BenchmarkFig7Frontier(b *testing.B) {
 				probes += fr.Probes
 				saved += fr.ProbesSaved
 				breaks += fr.Breakpoints()
+				for _, seg := range fr.Segments {
+					if seg.Feasible {
+						certGB += (seg.MemHi - seg.CertLo) / platform.GB
+					}
+				}
 			}
 		}
 	}
 	b.ReportMetric(float64(probes), "probes/op")
 	b.ReportMetric(float64(probes-saved), "dpprobes/op")
 	b.ReportMetric(float64(breaks), "breakpoints/op")
+	b.ReportMetric(certGB, "certgb/op")
 	if probes > saved {
 		b.ReportMetric(float64(probes)/float64(probes-saved), "probereduction-x")
 	}
@@ -541,6 +550,8 @@ func BenchmarkGPTRawProbe(b *testing.B) {
 	b.ReportMetric(float64(st.StatesEvaluated), "states/op")
 	b.ReportMetric(float64(st.CutsEvaluated), "cuts/op")
 	b.ReportMetric(float64(st.CutsSkippedFloor), "floorskip/op")
+	b.ReportMetric(float64(st.StatesBounded), "bounded/op")
+	b.ReportMetric(float64(st.StatesReopened), "reopened/op")
 	b.ReportMetric(perOp/float64(st.StatesEvaluated), "ns/state")
 	b.ReportMetric(perOp/float64(st.CutsEvaluated), "ns/cut")
 }

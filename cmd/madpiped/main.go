@@ -45,7 +45,7 @@ func main() {
 		ttl      = flag.Duration("ttl", 0, "plan memo entry TTL (0 = no expiry)")
 		quantum  = flag.Float64("quantum", 0, "fingerprint bucketing grid: requests whose floats quantize equal share memo entries (0 = byte-exact only)")
 		parallel = flag.Int("parallel", 1, "default planner worker budget for requests that leave options.parallel unset (1 = machine-independent sequential search)")
-		largePar = flag.Int("large-parallel", 0, "worker budget for large-chain requests that leave options.parallel unset (0 = off; an explicit count keeps probe schedules deterministic per daemon config); raw long-chain plans run tens of seconds per probe, so pair with a -timeout that covers them")
+		largePar = flag.Int("large-parallel", 0, "worker budget for large-chain requests that leave options.parallel unset (0 = off; an explicit count keeps probe schedules deterministic per daemon config); raw long-chain probes cost far more than coarsened ones, so pair with a -timeout that covers them")
 		largeAt  = flag.Int("large-chain", 0, "chain length at which -large-parallel applies (0 = 1025, the first chain length the column cache does not cover)")
 		drain    = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight requests")
 		flightN  = flag.Int("flight", 64, "flight recorder capacity: last N completed requests kept for /debug/requests (plus N notable slow/shed)")

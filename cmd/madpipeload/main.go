@@ -55,7 +55,7 @@ func main() {
 		smoke  = flag.Bool("smoke", false, "run the verify.sh smoke sequence instead of the load mix")
 		out    = flag.String("out", "", "with -smoke: write the Fig 6 plan response body to this file")
 		netNm  = flag.String("net", "resnet50", "network the mix plans: a CNN profile (resnet50, ...) or a transformer preset (gpt2, gpt2-xl, llama7b — planned via exact run coarsening)")
-		raw    = flag.Bool("raw", false, "with a transformer preset: plan the raw op-granularity chain (no coarsening), leaving options.parallel unset so the daemon's -large-parallel budget applies; raw probes cost seconds — pair with a small -n")
+		raw    = flag.Bool("raw", false, "with a transformer preset: plan the raw op-granularity chain (no coarsening), leaving options.parallel unset so the daemon's -large-parallel budget applies; raw probes cost far more than coarsened ones — pair with a small -n")
 		levels = flag.String("c", "1,8,64", "comma-separated concurrency levels")
 		n      = flag.Int("n", 200, "requests per concurrency level")
 		hot    = flag.Int("hot", 4, "hot-set size (distinct repeated cells)")

@@ -147,10 +147,11 @@ type dpEntry struct {
 // dpFrame is one suspended evaluation of the DP recurrence on the
 // explicit work stack: the state indices, the current cut position k,
 // the branch being awaited (stage 0 = normal processor, stage 1 =
-// special processor) and the best entry found so far. memOK records
-// whether any cut passed a memory check: a state that ends infeasible
-// with memOK still false died on memory alone, which is monotone in T̂
-// and therefore certifiable across probes (see dpTable.certMark).
+// special processor) and the best entry found so far. best starts at
+// the frame's cutoff (see solve) with k = -1. memOK records whether any
+// cut passed a memory check: a state that ends infeasible with memOK
+// still false died on memory alone, which is monotone in T̂ and
+// therefore certifiable across probes (see dpTable.certMark).
 type dpFrame struct {
 	l, p, itP, imP, iV int32
 	k                  int32
@@ -356,17 +357,28 @@ func (r *dpRun) baseCase(l int, tP, mP, v float64) dpEntry {
 	return dpEntry{period: r.uTo[l] + tP, k: -1, special: true}
 }
 
-// childValue returns the value of a sub-state if it is already resolved:
-// l == 0 states are closed-form, everything else comes from the table —
-// or from a cross-probe memory-death certificate, which settles the
-// child at infinity without descending.
-func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, bool) {
+// childValue returns the value of a sub-state for a caller whose
+// incumbent is cutoff, if the state is already resolved: l == 0 states
+// are closed-form, everything else comes from the table — or from a
+// cross-probe memory-death certificate, which settles the child at
+// infinity without descending. An exact entry answers every caller. A
+// lower-bound entry (see solve) answers only a caller whose cutoff it
+// meets: such a caller cannot adopt the child anyway. For a caller with
+// a higher cutoff the state is unresolved, and solve re-evaluates
+// ("reopens") it at that cutoff.
+func (r *dpRun) childValue(l, p, itP, imP, iV int, cutoff float64) (float64, bool) {
 	if l == 0 {
 		return float64(itP) * r.stepT, true
 	}
 	idx := r.tab.idx(l, p, itP, imP, iV)
-	if v, ok := r.tab.getPeriod(idx); ok {
-		return v, true
+	if v, bound, ok := r.tab.getPeriod(idx); ok {
+		if !bound || v >= cutoff {
+			return v, true
+		}
+		if st := r.stats; st != nil {
+			st.StatesReopened++
+		}
+		return 0, false
 	}
 	if r.tab.certDead(idx, r.that) {
 		if st := r.stats; st != nil {
@@ -385,8 +397,20 @@ func (r *dpRun) childValue(l, p, itP, imP, iV int) (float64, bool) {
 // traversal order, pruning and floating-point operations replicate the
 // recursive formulation exactly (see TestDenseMatchesMapDP). A root
 // that is already tabulated or certified returns through childValue.
+//
+// The cut loop is a branch and bound. A child frame starts with the
+// parent's current incumbent as its cutoff: the parent adopts the child
+// only if the child's value is strictly below it, so the child's
+// monotone break, cl test and load floors prune against it from its
+// first cut. After every cut a frame started at cutoff c holds
+// min(c, the unbounded frame's incumbent), so it returns the unbounded
+// value and decision whenever that value is below c. A frame that
+// adopts no cut closes as a lower-bound entry (period c, decision 0; see
+// getPeriod), which childValue serves only to callers it still prunes.
+// Every state on the reconstructed path was adopted below its cutoff
+// and is therefore exact.
 func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
-	if v, ok := r.childValue(l0, p0, itP0, imP0, iV0); ok {
+	if v, ok := r.childValue(l0, p0, itP0, imP0, iV0, inf); ok {
 		return v
 	}
 	stats := r.stats
@@ -447,6 +471,25 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 				stats.CutsEvaluated++
 			}
 			cl := r.cLeft[k]
+			// Pre-scalar floors. The normal candidate is max3(u, cl, sub)
+			// and the special one max3(tNext, cl, sub); the incumbent only
+			// improves on a strict decrease, so cl, tNext or a child floor
+			// at or above it settles a branch without the child. None of
+			// those tests needs the cut's scalars, so a fresh cut whose
+			// branches are both settled is skipped before computing them.
+			// A skip needs a finite incumbent, so it never hides a memory
+			// death (memOK). On a resumed normal branch the normal child
+			// passed these tests against the same incumbent.
+			normLive := true
+			if f.stage == 0 {
+				normLive = cl < f.best.period && r.childFloor(k-1, tP, invP) < f.best.period
+				if !normLive && r.specialDead(k, cl, tP, u, invP1, f.best.period) {
+					if stats != nil {
+						stats.CutsSkippedFloor++
+					}
+					continue
+				}
+			}
 			// Per-cut scalars: from the monotone cut-point columns when
 			// the cache fits, recomputed inline otherwise. Both arms run
 			// the identical expressions (cutDelay, see columns.go), so the
@@ -474,28 +517,21 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			}
 
 			if f.stage == 0 && normOK {
-				// Assign stage [k,l] to a normal processor. The child is
-				// consulted only when the branch can still win: its
-				// candidate is max3(u, cl, sub) and the incumbent only
-				// improves on a strict decrease, so cl >= best (u < best is
-				// the monotone check above) or a child floor at or above
-				// best decides the comparison without the lookup — or the
-				// child's whole subtree. memOK is set first; the floor
-				// needs a finite incumbent, so it never hides a death.
+				// Assign stage [k,l] to a normal processor. memOK is set
+				// before the floor test: the floor needs a finite
+				// incumbent, so it never hides a death.
 				f.memOK = true
-				switch {
-				case cl >= f.best.period:
-				case r.childFloor(k-1, tP, invP) >= f.best.period:
+				if !normLive {
 					if stats != nil {
 						stats.CutsSkippedFloor++
 					}
-				default:
-					sub, ok := r.childValue(k-1, p-1, int(f.itP), int(f.imP), iVN)
+				} else {
+					sub, ok := r.childValue(k-1, p-1, int(f.itP), int(f.imP), iVN, f.best.period)
 					if !ok {
 						f.k = int32(k)
 						st = append(st, dpFrame{
 							l: int32(k - 1), p: int32(p - 1), itP: f.itP, imP: f.imP, iV: int32(iVN),
-							k: int32(k - 1), best: dpEntry{period: inf, k: -1},
+							k: int32(k - 1), best: dpEntry{period: f.best.period, k: -1},
 						})
 						pushed = true
 						break cuts
@@ -516,10 +552,9 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 					f.memOK = true
 					itPN := roundUp(tP+u, r.stepT, r.nT)
 					tNext := float64(itPN) * r.stepT
-					// Same early decisions as the normal branch: the
-					// candidate is max3(tNext, cl, sub), so tNext, cl or the
-					// child floor at or above the incumbent settles the cut
-					// without touching the child.
+					// Same early decisions as the pre-scalar test, against
+					// an incumbent the normal branch may just have
+					// tightened.
 					if tNext >= f.best.period || cl >= f.best.period {
 						f.stage = 0
 						continue
@@ -532,12 +567,12 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 						continue
 					}
 					imPN := roundUp(mNext, r.stepM, r.nM)
-					sub, ok := r.childValue(k-1, p, itPN, imPN, iVN)
+					sub, ok := r.childValue(k-1, p, itPN, imPN, iVN, f.best.period)
 					if !ok {
 						f.k = int32(k)
 						st = append(st, dpFrame{
 							l: int32(k - 1), p: f.p, itP: int32(itPN), imP: int32(imPN), iV: int32(iVN),
-							k: int32(k - 1), best: dpEntry{period: inf, k: -1},
+							k: int32(k - 1), best: dpEntry{period: f.best.period, k: -1},
 						})
 						pushed = true
 						break cuts
@@ -560,17 +595,34 @@ func (r *dpRun) solve(l0, p0, itP0, imP0, iV0 int) float64 {
 			// Every cut of every branch failed its memory check — no break
 			// can have fired (u >= inf never holds), so the whole k range
 			// was examined and the death is certifiable for smaller T̂.
+			// Only a frame solved at an infinite cutoff gets here.
 			r.tab.certMark(idx, r.that)
 			if stats != nil && r.tab.certOn {
 				stats.CertsRecorded++
 			}
 		}
+		if stats != nil && f.best.k < 0 && f.best.period < inf {
+			stats.StatesBounded++
+		}
 		r.tab.put(idx, f.best)
 		st = st[:len(st)-1]
 	}
 	r.stack = st[:0]
-	v, _ := r.tab.getPeriod(r.tab.idx(l0, p0, itP0, imP0, iV0))
+	v, _, _ := r.tab.getPeriod(r.tab.idx(l0, p0, itP0, imP0, iV0))
 	return v
+}
+
+// specialDead reports whether the special branch of cut k (work u,
+// link time cl) cannot strictly improve the incumbent best, from the
+// tests the branch itself applies before its child lookup: its
+// candidate is max3(tNext, cl, sub), and sub is at least the child's
+// floor. tNext is the t_P grid value the branch would hand its child.
+func (r *dpRun) specialDead(k int, cl, tP, u, inv, best float64) bool {
+	if r.disableSpecial || cl >= best {
+		return true
+	}
+	tNext := float64(roundUp(tP+u, r.stepT, r.nT)) * r.stepT
+	return tNext >= best || r.childFloor(k-1, tNext, inv) >= best
 }
 
 // DPResult is the outcome of one MadPipe-DP call.

@@ -15,7 +15,11 @@ import (
 // FuzzTableMatchesMapDP assert that the table solver returns
 // bit-identical periods, allocations and (wherever normals <= layers)
 // state counts. It runs the textbook ⊕ and group-count arithmetic
-// (oplus, groups) rather than the solver's fused cutDelay.
+// (oplus, groups) rather than the solver's fused cutDelay. It mirrors
+// the solver's cutoffs as it mirrors the load floors: a recursion
+// starts its incumbent at the caller's, a memo entry that adopted no
+// cut keeps that cutoff as a lower bound, and States counts computes,
+// so a reopened state counts again.
 
 // oplus is the ⊕ operator of Section 4.2.2: advance a delay x by a work
 // amount y, snapping x up to the next multiple of T̂ when the addition
@@ -44,24 +48,30 @@ func mapKey(l, p, itP, imP, iV int) uint64 {
 
 type mapRun struct {
 	dpRun
-	memo map[uint64]dpEntry
+	memo     map[uint64]dpEntry
+	computes int
 }
 
-func (r *mapRun) solveRec(l, p, itP, imP, iV int) float64 {
+// solveRec returns T(l, p, t_P, m_P, V) for a caller whose incumbent is
+// cutoff: exact when below it, otherwise a lower bound at least cutoff.
+// A bound entry (k < 0, not special, finite) answers only callers it
+// still prunes; any other caller recomputes the state.
+func (r *mapRun) solveRec(l, p, itP, imP, iV int, cutoff float64) float64 {
 	tP := float64(itP) * r.stepT
 	if l == 0 {
 		return tP
 	}
 	k := mapKey(l, p, itP, imP, iV)
-	if e, ok := r.memo[k]; ok {
+	if e, ok := r.memo[k]; ok && (e.k >= 0 || e.special || e.period >= cutoff) {
 		return e.period
 	}
-	e := r.compute(l, p, itP, imP, iV)
+	e := r.compute(l, p, itP, imP, iV, cutoff)
 	r.memo[k] = e
+	r.computes++
 	return e.period
 }
 
-func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
+func (r *mapRun) compute(l, p, itP, imP, iV int, cutoff float64) dpEntry {
 	tP := float64(itP) * r.stepT
 	mP := float64(imP) * r.stepM
 	v := float64(iV) * r.stepV
@@ -70,7 +80,7 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 		return r.baseCase(l, tP, mP, v)
 	}
 
-	best := dpEntry{period: inf, k: -1}
+	best := dpEntry{period: cutoff, k: -1}
 	invP, invP1 := 1/float64(p), 1/float64(p+1)
 	for k := l; k >= 1; k-- {
 		u := r.uTo[l] - r.uTo[k-1]
@@ -92,7 +102,7 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 		// the comparison without descending. The table solver applies the
 		// identical skips, keeping traversals aligned.
 		if r.stageMem(k, l, g) <= r.mem && cLeft < best.period && r.childFloor(k-1, tP, invP) < best.period {
-			sub := r.solveRec(k-1, p-1, itP, imP, iVN)
+			sub := r.solveRec(k-1, p-1, itP, imP, iVN, best.period)
 			cand := math.Max(u, math.Max(cLeft, sub))
 			if cand < best.period {
 				best = dpEntry{period: cand, k: int32(k)}
@@ -114,7 +124,7 @@ func (r *mapRun) compute(l, p, itP, imP, iV int) dpEntry {
 					continue
 				}
 				imPN := roundUp(mNext, r.stepM, r.nM)
-				sub := r.solveRec(k-1, p, itPN, imPN, iVN)
+				sub := r.solveRec(k-1, p, itPN, imPN, iVN, best.period)
 				cand := math.Max(tNext, math.Max(cLeft, sub))
 				if cand < best.period {
 					best = dpEntry{period: cand, k: int32(k), special: true}
@@ -144,8 +154,8 @@ func runDPMap(c *chain.Chain, plat platform.Platform, that float64, disc Discret
 			c.Len(), normals, MaxDPIndex)
 	}
 	r := newMapRun(c, plat, that, disc, disableSpecial, weights)
-	period := r.solveRec(c.Len(), normals, 0, 0, 0)
-	res := &DPResult{Period: period, States: len(r.memo)}
+	period := r.solveRec(c.Len(), normals, 0, 0, 0, inf)
+	res := &DPResult{Period: period, States: r.computes}
 	if period == inf {
 		return res, nil
 	}

@@ -197,7 +197,7 @@ func PlanFrontierCtx(ctx context.Context, c *chain.Chain, plat platform.Platform
 		}
 		pl := plat
 		pl.Memory = s.mem
-		res, err := PlanAllocationCtx(ctx, c, pl, opts)
+		res, err := planAllocation(ctx, c, pl, opts, false)
 		if err != nil {
 			if errors.Is(err, platform.ErrInfeasible) {
 				return nil
@@ -313,7 +313,9 @@ type frontierSample struct {
 // does — a DP run's record holds the limit it ran at, a store hit's
 // record contains it by lookup, a floor covers every limit up to its
 // own. A result served from a plan-memo entry that an ordinary search
-// wrote carries no interval, so such a sample certifies only itself.
+// wrote would carry no interval, and the fallback makes such a sample
+// certify only itself; no walk path reaches it now, since the walk's
+// searches skip the plan-memo read (planAllocation).
 func searchInterval(s frontierSample) (lo, hi float64) {
 	lo, hi = s.res.Hint.MemLo, s.res.Hint.MemHi
 	if !(lo <= s.mem && s.mem < hi) {

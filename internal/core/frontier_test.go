@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"madpipe/internal/chain"
+	"madpipe/internal/nets"
 	"madpipe/internal/obs"
 	"madpipe/internal/platform"
 )
@@ -242,9 +243,8 @@ func TestBracketCandidatesDegenerate(t *testing.T) {
 // neighbouring samples inside that range — limits the walk never planned
 // at — must return the segment's predicted and target periods, spans and
 // processors. Each frontier also runs once on a cache where ordinary
-// plans at the top and a middle rung left plan-memo entries: the samples
-// served from them carry no search interval and must certify only
-// themselves.
+// plans at the top and a middle rung left plan-memo entries, which the
+// walk must not let change what it certifies.
 func TestFrontierCertLoMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	disc := Discretization{TP: 21, MP: 5, V: 15}
@@ -316,4 +316,84 @@ func TestFrontierCertLoMatchesCold(t *testing.T) {
 		t.Fatal("no segment certified a limit between two samples")
 	}
 	t.Logf("%d certified limits planned cold, %d of them between samples; %d segments certified below their lowest sample", checked, mids, below)
+}
+
+// TestFrontierIgnoresPlanMemo requires a frontier walk to be a function
+// of its request: on a cache where ordinary plans at the ladder's top
+// and a middle rung left plan-memo entries, the walk must return the
+// same segments, certificate floors and probe economics as on a fresh
+// cache.
+func TestFrontierIgnoresPlanMemo(t *testing.T) {
+	c, err := nets.Build(nets.PaperSpec("resnet50"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := c.Coarsen(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(83))
+	type instance struct {
+		c    *chain.Chain
+		mems []float64
+		disc Discretization
+	}
+	insts := []instance{{c: cc, mems: []float64{14e9, 10e9, 8e9, 6e9}}}
+	for i := 0; i < 3; i++ {
+		insts = append(insts, instance{
+			c:    chain.Random(rng, 5+rng.Intn(8), chain.DefaultRandomOptions()),
+			mems: hintMemsDesc,
+			disc: Discretization{TP: 21, MP: 5, V: 15},
+		})
+	}
+	certified := 0
+	for n, in := range insts {
+		for _, special := range []bool{false, true} {
+			for _, pw := range []int{3, 4} {
+				what := fmt.Sprintf("instance %d special=%v P=%d", n, special, pw)
+				opts := Options{Parallel: 1, DisableSpecial: special, Disc: in.disc, Cache: NewPlannerCache()}
+				cold, err := PlanFrontier(in.c, plat(pw, 1, 12e9), in.mems, opts)
+				if err != nil {
+					t.Fatalf("%s: cold walk: %v", what, err)
+				}
+				opts.Cache.Release(nil)
+				opts.Cache = NewPlannerCache()
+				for _, mem := range []float64{in.mems[0], in.mems[len(in.mems)/2]} {
+					if _, err := PlanAllocation(in.c, plat(pw, mem, 12e9), opts); err != nil && !errors.Is(err, platform.ErrInfeasible) {
+						t.Fatalf("%s M=%g: plan: %v", what, mem, err)
+					}
+				}
+				warm, err := PlanFrontier(in.c, plat(pw, 1, 12e9), in.mems, opts)
+				if err != nil {
+					t.Fatalf("%s: walk after plans: %v", what, err)
+				}
+				opts.Cache.Release(nil)
+				if warm.Probes != cold.Probes || warm.ProbesSaved != cold.ProbesSaved ||
+					warm.FrontierSaved != cold.FrontierSaved || warm.Replays != cold.Replays {
+					t.Fatalf("%s: walk after plans folds %d probes (%d saved, %d by the store, %d replays), cold walk %d (%d, %d, %d)",
+						what, warm.Probes, warm.ProbesSaved, warm.FrontierSaved, warm.Replays,
+						cold.Probes, cold.ProbesSaved, cold.FrontierSaved, cold.Replays)
+				}
+				if len(warm.Segments) != len(cold.Segments) {
+					t.Fatalf("%s: %d segments after plans, %d cold", what, len(warm.Segments), len(cold.Segments))
+				}
+				for i, w := range warm.Segments {
+					c := cold.Segments[i]
+					if w.MemHi != c.MemHi || w.MemLo != c.MemLo || w.CertLo != c.CertLo || w.Feasible != c.Feasible ||
+						w.Predicted != c.Predicted || w.Target != c.Target || w.Probes != c.Probes || w.Replays != c.Replays {
+						t.Fatalf("%s: segment %d after plans %+v, cold %+v", what, i, w, c)
+					}
+					if w.Feasible && !allocSame(w.Result.Alloc, c.Result.Alloc) {
+						t.Fatalf("%s: segment %d allocation differs after plans", what, i)
+					}
+					if w.CertLo < w.MemLo {
+						certified++
+					}
+				}
+			}
+		}
+	}
+	if certified == 0 {
+		t.Fatal("no segment certified below its lowest sample; the ladders no longer exercise cert_lo")
+	}
 }

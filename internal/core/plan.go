@@ -304,6 +304,16 @@ func PlanAllocation(c *chain.Chain, plat platform.Platform, opts Options) (*Phas
 // madpiped daemon's per-request deadlines both come through here, so
 // there is exactly one cancellation path to test.
 func PlanAllocationCtx(ctx context.Context, c *chain.Chain, plat platform.Platform, opts Options) (*PhaseOneResult, error) {
+	return planAllocation(ctx, c, plat, opts, true)
+}
+
+// planAllocation is PlanAllocationCtx's body. With readMemo false it
+// skips the plan-memo read but still memoizes its result: a frontier
+// walk's samples then come from the walk's own searches, so the walk —
+// and a served /v1/frontier body — is a function of its request, not of
+// what the cache planned before, while later cells still replay from
+// the entries the walk wrote.
+func planAllocation(ctx context.Context, c *chain.Chain, plat platform.Platform, opts Options, readMemo bool) (*PhaseOneResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -335,8 +345,10 @@ func PlanAllocationCtx(ctx context.Context, c *chain.Chain, plat platform.Platfo
 	var mkey planKey
 	if opts.Cache != nil {
 		mkey = planKeyFor(c, plat, opts)
-		if res, ok := opts.Cache.getPlan(mkey); ok {
-			return uncoarsenResult(res, cc), nil
+		if readMemo {
+			if res, ok := opts.Cache.getPlan(mkey); ok {
+				return uncoarsenResult(res, cc), nil
+			}
 		}
 	}
 

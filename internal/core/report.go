@@ -14,7 +14,7 @@ import (
 // PlanReports and exported traces, so archived artifacts are
 // self-describing. Bump it when a change alters planner outputs or the
 // meaning of a reported counter.
-const PlannerVersion = "madpipe-planner/11"
+const PlannerVersion = "madpipe-planner/12"
 
 // ChainSummary condenses the planned chain for reports and trace
 // metadata.

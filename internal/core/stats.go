@@ -18,18 +18,30 @@ import (
 //   - CutsSkippedMonotone: cut positions abandoned by the monotone
 //     U(k,l) >= best break in the cut loop.
 //   - CutsSkippedFloor: children skipped because their
-//     work-conservation floor already meets the incumbent.
+//     work-conservation floor already meets the incumbent, and cuts
+//     skipped whole before their scalars because both branches are
+//     settled.
+//   - StatesBounded / StatesReopened: the branch and bound's cutoffs
+//     (see solve): frames that closed as a lower bound, and such
+//     entries re-solved for a caller with a higher cutoff.
 //   - GmaxMemoHits: normal-branch memory thresholds answered by the
 //     cross-probe T̂-independent gmax memo instead of bisection.
 //   - StatesCertPruned: states settled at +Inf by a cross-probe
 //     memory-death certificate without being expanded.
 type DPStats struct {
-	// StatesEvaluated is the number of states this run evaluated fresh
-	// (the table's store count). States settled from a death
-	// certificate are excluded, so warm probes report only the work they
-	// actually did; adopted states are counted separately in
-	// StatesCertPruned.
+	// StatesEvaluated is the number of frames this run closed (the
+	// table's store count): exact entries and lower bounds alike, and a
+	// reopened state counts again each time it closes. States settled
+	// from a death certificate are excluded, so warm probes report only
+	// the work they actually did; adopted states are counted separately
+	// in StatesCertPruned.
 	StatesEvaluated uint64 `json:"states_evaluated"`
+	// StatesBounded counts frames that adopted no cut below their
+	// finite cutoff and closed as a lower-bound entry.
+	StatesBounded uint64 `json:"states_bounded"`
+	// StatesReopened counts lower-bound entries re-solved because a
+	// caller's cutoff was above the bound.
+	StatesReopened uint64 `json:"states_reopened"`
 	// StatesCertPruned counts states settled directly by a cross-probe
 	// memory-death certificate.
 	StatesCertPruned uint64 `json:"states_cert_pruned"`
@@ -54,7 +66,10 @@ type DPStats struct {
 	// its remaining work U(1,k-1) plus its special-processor load, spread
 	// over the processors it has left, less a rounding slack (childFloor)
 	// — already met the incumbent, so the cut could not strictly improve
-	// it. A cut can count twice, once per branch.
+	// it. A fresh cut whose branches are both settled (by a floor, cl or
+	// the special branch's t_P) is skipped before its scalars are
+	// computed and counts once; any other cut counts once per branch
+	// whose floor skipped it.
 	CutsSkippedFloor uint64 `json:"cuts_skipped_floor"`
 	// GmaxMemoHits / GmaxComputed split column-threshold lookups into
 	// cross-probe memo answers and fresh bisections.
@@ -80,6 +95,8 @@ type DPStats struct {
 // Used to aggregate per-probe stats into Algorithm 1 totals.
 func (s *DPStats) add(o *DPStats) {
 	s.StatesEvaluated += o.StatesEvaluated
+	s.StatesBounded += o.StatesBounded
+	s.StatesReopened += o.StatesReopened
 	s.StatesCertPruned += o.StatesCertPruned
 	s.CertsRecorded += o.CertsRecorded
 	s.HoistReuses += o.HoistReuses
@@ -110,6 +127,8 @@ func (s *DPStats) flush(reg *obs.Registry) {
 	}
 	reg.Counter("dp_runs").Inc()
 	reg.Counter("dp_states_evaluated").Add(s.StatesEvaluated)
+	reg.Counter("dp_states_bounded").Add(s.StatesBounded)
+	reg.Counter("dp_states_reopened").Add(s.StatesReopened)
 	reg.Counter("dp_states_cert_pruned").Add(s.StatesCertPruned)
 	reg.Counter("dp_certs_recorded").Add(s.CertsRecorded)
 	reg.Counter("dp_hoist_reuses").Add(s.HoistReuses)

@@ -183,10 +183,21 @@ func TestPlanReportRoundTrip(t *testing.T) {
 // TestDPStatsAdd pins the fold semantics: add sums counters and maxes
 // the table high-water marks.
 func TestDPStatsAdd(t *testing.T) {
-	a := DPStats{StatesEvaluated: 5, TableResidentBytes: 9, CutsEvaluated: 3}
-	b := DPStats{StatesEvaluated: 7, TableResidentBytes: 4, CutsEvaluated: 2}
+	a := DPStats{StatesEvaluated: 5, StatesBounded: 2, StatesReopened: 1, TableResidentBytes: 9, CutsEvaluated: 3}
+	b := DPStats{StatesEvaluated: 7, StatesBounded: 3, StatesReopened: 4, TableResidentBytes: 4, CutsEvaluated: 2}
 	a.add(&b)
-	if a.StatesEvaluated != 12 || a.TableResidentBytes != 9 || a.CutsEvaluated != 5 {
+	if a.StatesEvaluated != 12 || a.StatesBounded != 5 || a.StatesReopened != 5 ||
+		a.TableResidentBytes != 9 || a.CutsEvaluated != 5 {
 		t.Errorf("add: %+v", a)
+	}
+	reg := obs.NewRegistry()
+	a.flush(reg)
+	b.flush(reg)
+	snap := reg.Snapshot()
+	if got := snap.Counters["dp_states_bounded"]; got != 8 {
+		t.Errorf("dp_states_bounded = %d, want 8", got)
+	}
+	if got := snap.Counters["dp_states_reopened"]; got != 9 {
+		t.Errorf("dp_states_reopened = %d, want 9", got)
 	}
 }

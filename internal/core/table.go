@@ -328,15 +328,20 @@ func (t *dpTable) get(idx int) (dpEntry, bool) {
 }
 
 // getPeriod is the hot-path lookup: it avoids materializing a dpEntry.
-func (t *dpTable) getPeriod(idx int) (float64, bool) {
+// bound reports a lower-bound entry: a frame that adopted no cut below
+// its finite cutoff stores the cutoff with decision 0 (see solve), a
+// combination no exact entry has — exact k = -1 entries are +Inf or
+// special base cases.
+func (t *dpTable) getPeriod(idx int) (period float64, bound, ok bool) {
 	s := t.peek(idx)
 	if s == nil || s.stamp != t.stamp {
-		return 0, false
+		return 0, false, false
 	}
-	return s.period, true
+	return s.period, s.dec == 0 && s.period < inf, true
 }
 
-// put stores a freshly evaluated entry and counts it in states.
+// put stores a freshly evaluated entry — exact, or a lower bound — and
+// counts it in states: a reopened state counts again.
 func (t *dpTable) put(idx int, e dpEntry) {
 	t.putAdopted(idx, e)
 	t.states++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"madpipe/internal/chain"
+	"madpipe/internal/obs"
 	"madpipe/internal/platform"
 )
 
@@ -129,4 +131,76 @@ func TestPlanTrajectoriesGolden(t *testing.T) {
 	if infeasible == 0 || failedProbe == 0 {
 		t.Fatalf("instance mix lost coverage: %d failed searches, %d searches with infeasible probes", infeasible, failedProbe)
 	}
+}
+
+// TestTrajectoryProbesMatchMapDP covers the branch and bound's reopen
+// path (solve, childValue), which tiny random instances rarely reach:
+// every goldenInstance is re-run at each probe target of its Algorithm 1
+// trajectory, at probe fans 1-4 and in both planning modes, once on a
+// fresh table per probe and once in trajectory order on one
+// certificate-armed table. Each run must match the map reference, which
+// mirrors the cutoffs, in period and allocation, and in States wherever
+// the table plans the unclamped normal count and no death certificate
+// settled a state. The summed StatesReopened must be positive, or the
+// instances stopped exercising reopens.
+func TestTrajectoryProbesMatchMapDP(t *testing.T) {
+	disc := Discretization{TP: 15, MP: 5, V: 15}
+	var reopened, bounded uint64
+	for i := 0; i < goldenTrajectoryCases; i++ {
+		c, pl := goldenInstance(i)
+		for _, disable := range []bool{false, true} {
+			normals := pl.Workers - 1
+			if disable {
+				normals = pl.Workers
+			}
+			cfg := dpConfig{disc: disc, disableSpecial: disable, obs: obs.NewRegistry()}
+			for par := 1; par <= 4; par++ {
+				res, err := PlanAllocation(c, pl, Options{Parallel: par, DisableSpecial: disable, Disc: disc})
+				if err != nil && !errors.Is(err, platform.ErrInfeasible) {
+					t.Fatalf("case %d: plan: %v", i, err)
+				}
+				var thats []float64
+				if res != nil {
+					for _, ev := range res.Evals {
+						thats = append(thats, ev.That)
+					}
+				} else {
+					// A failed search returns no trajectory; probe its
+					// bracket's lower bound and a few multiples instead.
+					lb := c.TotalU() / float64(pl.Workers)
+					thats = []float64{4 * lb, 2 * lb, lb}
+				}
+				armed := new(dpTable)
+				armed.certArm(pl.Memory)
+				for j, that := range thats {
+					want, err := runDPMap(c, pl, that, disc, disable, chain.WeightPolicy{})
+					if err != nil {
+						t.Fatalf("case %d probe %d: map DP: %v", i, j, err)
+					}
+					for _, armedRun := range []bool{false, true} {
+						tab := armed
+						if !armedRun {
+							tab = new(dpTable)
+						}
+						label := fmt.Sprintf("case %d special=%v fan %d probe %d (T̂ %x) armed=%v",
+							i, !disable, par, j, math.Float64bits(that), armedRun)
+						got, err := runDPWith(tab, c, pl, that, cfg)
+						if err != nil {
+							t.Fatalf("%s: table DP: %v", label, err)
+						}
+						sameDP(t, label, got, want)
+						if normals <= c.Len() && got.Stats.StatesCertPruned == 0 && got.States != want.States {
+							t.Fatalf("%s: table DP %d states, map DP %d", label, got.States, want.States)
+						}
+						reopened += got.Stats.StatesReopened
+						bounded += got.Stats.StatesBounded
+					}
+				}
+			}
+		}
+	}
+	if reopened == 0 {
+		t.Fatalf("no probe reopened a bound entry (%d bound closes)", bounded)
+	}
+	t.Logf("%d bound closes, %d reopens", bounded, reopened)
 }

@@ -61,8 +61,8 @@ func ServingMix(netName string, n, coldEvery int) ([]serve.PlanRequest, error) {
 // threshold, options.parallel stays unset so the daemon's
 // Config.LargeParallel default decides the worker budget (the probe
 // fan end to end), and a two-probe iteration budget keeps a request's latency bounded by
-// one concurrent round of two raw DP solves — raw probes cost tens of
-// seconds, not the milliseconds of the coarsened mix, so callers
+// one concurrent round of two raw DP solves — about half a second on a
+// 2-vCPU host, not the milliseconds of the coarsened mix, so callers
 // should size n accordingly.
 //
 // Like ServingMix, the stream is a pure function of its arguments, so
@@ -87,14 +87,15 @@ func ServingMixRaw(netName string, n, coldEvery int) ([]serve.PlanRequest, error
 			cold++
 			memGB = coldBase + 1e-4*float64(cold)
 		}
-		// The special-mode 21x5x21 grid keeps a raw 2050-layer probe in
-		// the tens of seconds (the default 101x11x51 grid would push one
-		// probe into the minutes — unservable), and a two-probe iteration
-		// budget makes each miss's first bracket round fan out two
-		// concurrent probes, so the mix exercises the blocked-parallel
-		// path without unbounded latency. The serving properties under
-		// test (fingerprinting, memo splits, the LargeParallel default,
-		// blocked-table gauges) are independent of the search depth.
+		// The special-mode 21x5x21 grid keeps a raw 2050-layer probe
+		// round near half a second on 2 vCPUs (the default 101x11x51
+		// grid has 26x the points per layer and processor count), and a
+		// two-probe iteration budget makes each miss's first bracket
+		// round fan out two concurrent probes, so the mix exercises the
+		// blocked-parallel path without unbounded latency. The serving
+		// properties under test (fingerprinting, memo splits, the
+		// LargeParallel default, blocked-table gauges) are independent of
+		// the search depth.
 		reqs = append(reqs, serve.PlanRequest{
 			Net:      &serve.NetSpec{Name: netName, Batch: 8, Size: 1000, Blocks: 256, Granularity: 8},
 			Platform: serve.PlatformSpec{Workers: 8, MemoryGB: memGB, BandwidthGB: 300},

@@ -168,24 +168,33 @@ func TestServeFrontierBitIdentical(t *testing.T) {
 }
 
 // TestServeFrontierAfterPlanMemo: a /v1/plan at the ladder's top rung
-// leaves a memo entry on the worker's cache that the following
-// /v1/frontier's top sample is served from. That entry carries no
-// search interval, so the segment it opens must still be certified
-// above zero, hold cold at its cert_lo, and keep the plateaus of a
-// frontier planned without the memo.
+// leaves a memo entry on the worker's cache. The following /v1/frontier
+// on that worker must answer byte-identically to the same request on a
+// fresh server — a frontier body is a function of its request — and
+// each feasible segment must be certified above zero and hold cold at
+// its cert_lo.
 func TestServeFrontierAfterPlanMemo(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1})
 	c := testChain(12, 5)
 	mems := []float64{1.4e10, 1e10, 8e9, 6e9}
+	freq := FrontierRequest{Chain: c,
+		Platform: PlatformSpec{Workers: 4, Bandwidth: 1.2e10}, Options: OptionsSpec{Parallel: 1}, Mems: mems}
+	_, coldHS := newTestServer(t, Config{Workers: 1})
+	resp, coldBody := postJSON(t, coldHS.URL+"/v1/frontier", freq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold frontier status %d: %s", resp.StatusCode, coldBody)
+	}
 	resp, body := postJSON(t, hs.URL+"/v1/plan", PlanRequest{Chain: c,
 		Platform: PlatformSpec{Workers: 4, Memory: mems[0], Bandwidth: 1.2e10}, Options: OptionsSpec{Parallel: 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plan status %d: %s", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, hs.URL+"/v1/frontier", FrontierRequest{Chain: c,
-		Platform: PlatformSpec{Workers: 4, Bandwidth: 1.2e10}, Options: OptionsSpec{Parallel: 1}, Mems: mems})
+	resp, body = postJSON(t, hs.URL+"/v1/frontier", freq)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("frontier status %d: %s", resp.StatusCode, body)
+	}
+	if !bytes.Equal(body, coldBody) {
+		t.Fatalf("frontier after /v1/plan differs from the cold body:\n%s\n%s", body, coldBody)
 	}
 	var got core.FrontierReport
 	if err := json.Unmarshal(body, &got); err != nil {

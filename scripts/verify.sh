@@ -93,8 +93,11 @@ go run ./cmd/benchdiff -bench 'BenchmarkFig7Sweep$' -benchtime 1x -write=false -
 # or walk-behavior change and fails the gate outright. Each DP probe
 # claims only its own limit, so dpprobes/op moves whenever the
 # frontier store's equal-outcome merging answers more or fewer probes.
-echo "== frontier probe-economics regression check (gate: probes/op + dpprobes/op, exact)"
-go run ./cmd/benchdiff -bench 'BenchmarkFig7Frontier$' -benchtime 1x -write=false -gate probes/op,dpprobes/op -threshold 0
+# certgb/op (the GB the segments certify below their top samples, the
+# sum of mem_hi − cert_lo) is exact too, so a silent loss of cert_lo
+# fails the gate.
+echo "== frontier probe-economics regression check (gate: probes/op + dpprobes/op + certgb/op, exact)"
+go run ./cmd/benchdiff -bench 'BenchmarkFig7Frontier$' -benchtime 1x -write=false -gate probes/op,dpprobes/op,certgb/op -threshold 0
 
 # The transformer coarsening pass's economics are exact for a fixed
 # chain and discretization: states/op counts DP states the phase-1
@@ -110,19 +113,21 @@ go run ./cmd/benchdiff -bench 'BenchmarkGPTCoarsen$' -benchtime 1x -write=false 
 # work — a drift in either direction is a solver-behavior change and
 # fails the gate outright. blocksalloc/op stays advisory, as does ns/op; the
 # resident/virtual bound is gated by
-# TestTransformerLongChainPlan. This is the most expensive gate in the
-# file (one concurrent probe round over a 36M-state virtual table,
-# about a minute of wall clock).
+# TestTransformerLongChainPlan. One concurrent probe round over a
+# 36M-state virtual table (about a second of wall clock since the DP's
+# branch and bound).
 echo "== raw transformer blocked-parallel regression check (gate: states/op + rawlayers/op, exact)"
 go run ./cmd/benchdiff -bench 'BenchmarkGPTRawParallel$' -benchtime 1x -write=false -gate states/op,rawlayers/op -threshold 0
 
 # One raw 1026-layer probe (the shape of every serve_gpt2_raw plan):
-# states/op and cuts/op are exact functions of the input, so any drift —
-# up or down — is a solver-behavior change and fails outright, and
-# floorskip/op (children the work-conservation floor skipped) prints
-# beside them.
-echo "== raw long-chain probe (gate: states/op + cuts/op, exact)"
-go run ./cmd/benchdiff -bench 'BenchmarkGPTRawProbe$' -benchtime 1x -write=false -gate states/op,cuts/op -threshold 0 || {
+# states/op (frame closes), cuts/op, bounded/op (frames the branch and
+# bound closed as a lower bound) and reopened/op (bound entries
+# re-solved at a higher cutoff) are exact functions of the input, so
+# any drift — up or down — is a solver-behavior change and fails
+# outright, and floorskip/op (children and whole cuts the
+# work-conservation floor skipped) prints beside them.
+echo "== raw long-chain probe (gate: states/op + cuts/op + bounded/op + reopened/op, exact)"
+go run ./cmd/benchdiff -bench 'BenchmarkGPTRawProbe$' -benchtime 1x -write=false -gate states/op,cuts/op,bounded/op,reopened/op -threshold 0 || {
 	echo "raw long-chain probe work drifted from the snapshot"
 	exit 1
 }
